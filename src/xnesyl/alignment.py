@@ -42,6 +42,7 @@ __all__ = [
     "region_weights",
     "shap_ged",
     "mean_shap_ged",
+    "instance_seed",
     "sag_to_dot",
     "sag_to_json",
 ]
@@ -209,6 +210,15 @@ def shap_ged(sag: SAG, kg: KnowledgeGraph, one_sided: bool = False) -> int:
     return len(sag.edges ^ projection)
 
 
+def instance_seed(seed: int, index: int) -> int:
+    """Attribution seed of the instance at `index` in a scored split.
+
+    `mean_shap_ged` and `xnesyl explain` both derive their estimator seed
+    here, so an explained SAG is the one its distance was scored on.
+    """
+    return int(np.random.SeedSequence([seed, 0x6ED, index]).generate_state(1)[0])
+
+
 def mean_shap_ged(
     det: PartDetector,
     clf: MLPClassifier,
@@ -239,7 +249,7 @@ def mean_shap_ged(
             background,
             mode,
             num_coalition_samples,
-            seed=int(np.random.SeedSequence([seed, 0x6ED, index]).generate_state(1)[0]),
+            seed=instance_seed(seed, index),
         )
         sag = build_sag(kg, v, values, s)
         per_instance[inst.id] = shap_ged(sag, kg, one_sided)

@@ -21,7 +21,7 @@ import os
 import sys
 from pathlib import Path
 
-from .alignment import WeightScheme, build_sag, sag_to_dot, sag_to_json
+from .alignment import WeightScheme, build_sag, instance_seed, sag_to_dot, sag_to_json
 from .classifier import load_classifier, save_classifier
 from .datagen import GeneratorConfig, generate_dataset, read_dataset, split_dataset, write_dataset
 from .detector import aggregate, detect, load_detector, save_detector
@@ -36,6 +36,7 @@ from .training import (
     evaluate,
     metrics_report,
     rebuild_background,
+    shap_eval_seed,
     train_shap_backprop,
     train_standard,
 )
@@ -208,17 +209,24 @@ def _cmd_eval(args) -> int:
 
 def _cmd_explain(args) -> int:
     kg = load_kg(args.kg)
-    dataset = read_dataset(args.data, kg)
-    matches = [inst for inst in dataset if inst.id == args.instance_id]
-    if not matches:
+    splits = split_dataset(read_dataset(args.data, kg))
+    # An instance is seeded by its position in its own split; for a test
+    # instance that is the seed `evaluate` scored it with.
+    located = [
+        (index, inst)
+        for split in splits
+        for index, inst in enumerate(split)
+        if inst.id == args.instance_id
+    ]
+    if not located:
         raise ValidationError(f"--instance-id {args.instance_id!r} not found in {args.data}")
-    inst = matches[0]
+    index, inst = located[0]
     det, clf, cfg = _load_run_dir(args.checkpoints)
-    train_split, _, _ = split_dataset(dataset)
-    background = rebuild_background(kg, det, train_split, cfg)
+    background = rebuild_background(kg, det, splits[0], cfg)
     v = aggregate(detect(det, inst), cfg.aggregation).values
+    seed = instance_seed(shap_eval_seed(cfg), index)
     values = shap_matrix(
-        clf.predict_proba, v, background, cfg.shap_mode, cfg.shap_samples, seed=cfg.seed
+        clf.predict_proba, v, background, cfg.shap_mode, cfg.shap_samples, seed=seed
     )
     sag = build_sag(kg, v, values, cfg.s)
     out_dir = Path(args.out_dir) if args.out_dir else Path(args.checkpoints)

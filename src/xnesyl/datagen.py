@@ -200,11 +200,18 @@ def write_dataset(instances: list[SceneInstance], path: str | Path) -> None:
 
 
 def read_dataset(path: str | Path, kg: KnowledgeGraph | None = None) -> list[SceneInstance]:
-    """Read a JSONL dataset; validates labels against `kg` when supplied."""
+    """Read a JSONL dataset; validates labels against `kg` when supplied.
+
+    Rejects, naming file and line, duplicate instance ids (per-id results
+    would collide) and regions whose feature dimension differs from the
+    first region's.
+    """
     p = Path(path)
     if not p.exists():
         raise ValidationError(f"dataset file not found: {p}")
     instances: list[SceneInstance] = []
+    id_lines: dict[str, int] = {}
+    feature_dim: tuple[int, int] | None = None  # (dimension, line it was first seen on)
     with p.open(encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
@@ -230,6 +237,22 @@ def read_dataset(path: str | Path, kg: KnowledgeGraph | None = None) -> list[Sce
                         raise ValidationError(
                             f"{p}:{lineno}: unknown part class {r.gt_part_class!r}"
                         )
+            if not isinstance(inst.id, str):
+                raise ValidationError(f"{p}:{lineno}: instance id must be a string")
+            if inst.id in id_lines:
+                raise ValidationError(
+                    f"{p}:{lineno}: duplicate instance id {inst.id!r} "
+                    f"(first at line {id_lines[inst.id]})"
+                )
+            id_lines[inst.id] = lineno
+            for r in inst.regions:
+                if feature_dim is None:
+                    feature_dim = (r.features.shape[0], lineno)
+                elif r.features.shape[0] != feature_dim[0]:
+                    raise ValidationError(
+                        f"{p}:{lineno}: region feature dimension {r.features.shape[0]} "
+                        f"differs from {feature_dim[0]} (line {feature_dim[1]})"
+                    )
             instances.append(inst)
     return instances
 

@@ -9,8 +9,13 @@ efficiency identity asserted throughout the tests).
 
 Two routes are provided and deliberately kept independent of each other:
 
-* `exact_shapley` enumerates all 2^n coalitions (guarded to n <= 16) and
-  applies the classical permutation-weight formula. It is the oracle.
+* `exact_shapley` applies the classical permutation-weight formula to
+  every coalition of the features that can move the output. Per reference
+  row b, a feature with x_j == b_j is a null player, so the cost is
+  2^(live features) coalitions per distinct live pattern among the
+  references; dense descriptors keep all n features live and cost 2^n.
+  The n <= 16 guard applies to n, not to the live count. It is the
+  oracle for the kernel route.
 * `kernel_shap` solves the weighted least-squares system with the
   Shapley kernel weight (n-1) / (C(n,|z|) |z| (n-|z|)), with the empty
   and full coalitions pinned to the exact model values. Sampled when the
@@ -111,8 +116,19 @@ def _coalition_values(
 
 
 def _all_masks(n: int) -> np.ndarray:
-    ints = np.arange(1 << n, dtype=np.uint32)
-    return ((ints[:, None] >> np.arange(n)) & 1).astype(bool)
+    return _live_masks(np.ones(n, dtype=bool))
+
+
+def _live_masks(live: np.ndarray) -> np.ndarray:
+    """Every coalition of the live columns as (2^|live|, n) masks; others False.
+
+    Bit b of a coalition's index selects the b-th live column; a column
+    that is not live reads bit |live|, which no index below 2^|live| sets.
+    """
+    count = int(live.sum())
+    ints = np.arange(1 << count, dtype=np.uint32)
+    shift = np.where(live, np.cumsum(live) - 1, count)
+    return ((ints[:, None] >> shift) & 1).astype(bool)
 
 
 def _exact_from_values(values: np.ndarray, n: int) -> np.ndarray:
@@ -148,11 +164,32 @@ def _check_exact_inputs(x: np.ndarray, bg: BackgroundSet) -> np.ndarray:
 
 
 def exact_shap_matrix(model: Model, x: np.ndarray, bg: BackgroundSet) -> np.ndarray:
-    """Exact attributions for every model output at once; (m, n)."""
+    """Exact attributions for every model output at once; (m, n).
+
+    The background-averaged game is the mean of its single-reference
+    games, and Shapley values are linear in the game. In the game of one
+    reference b, every feature with x_j == b_j is a null player, so only
+    the live features (x_j != b_j) are enumerated. References sharing a
+    live pattern share one reduced game, evaluated on their rows together
+    and weighted by their share of the background.
+    """
     x = _check_exact_inputs(x, bg)
     n = x.shape[0]
-    values = _coalition_values(model, x, bg, _all_masks(n))
-    return _exact_from_values(values, n)
+    patterns, group = np.unique(x[None, :] != bg.vectors, axis=0, return_inverse=True)
+    shap = None
+    for g, pattern in enumerate(patterns):
+        live = np.flatnonzero(pattern)
+        if live.size == 0:
+            continue  # every feature is a null player: contributes exactly 0
+        rows = bg.vectors[group == g]
+        values = _coalition_values(model, x, BackgroundSet(rows), _live_masks(pattern))
+        part = _exact_from_values(values, live.size) * (rows.shape[0] / bg.size)
+        if shap is None:
+            shap = np.zeros((part.shape[0], n))
+        shap[:, live] += part
+    if shap is None:  # x equals every reference
+        return np.zeros((np.asarray(model(x[None, :])).shape[1], n))
+    return shap
 
 
 def exact_shapley(model: Model, x: np.ndarray, bg: BackgroundSet, class_index: int) -> np.ndarray:

@@ -27,7 +27,7 @@ from .alignment import WeightScheme, mean_shap_ged, region_weights
 from .classifier import MLPClassifier, accuracy, train_classifier
 from .datagen import SceneInstance
 from .detector import PartDetector, aggregate, detect, train_detector_epoch
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .kg import KnowledgeGraph, attribution_matrix
 from .shapley import BackgroundSet, kernel_shap_matrix
 
@@ -37,6 +37,7 @@ __all__ = [
     "train_standard",
     "train_shap_backprop",
     "evaluate",
+    "shap_eval_seed",
     "config_echo",
     "config_from_echo",
     "metrics_report",
@@ -109,6 +110,27 @@ def _descriptors(
     return x, y, detections
 
 
+def _detector_epoch_at(
+    det: PartDetector,
+    train_split: list[SceneInstance],
+    weights: dict[str, np.ndarray] | None,
+    cfg: TrainConfig,
+    epoch: int,
+) -> tuple[PartDetector, float]:
+    """One detector epoch; raises NumericalError naming the epoch on divergence."""
+    det, det_loss = train_detector_epoch(
+        det,
+        train_split,
+        weights,
+        batch_size=cfg.batch_size,
+        rng=_derived_rng(cfg.seed, _TAG_BATCH, epoch),
+    )
+    params = (det.weights, det.bias)
+    if not (np.isfinite(det_loss) and all(np.all(np.isfinite(p)) for p in params)):
+        raise NumericalError(f"detector loss or weights became non-finite at epoch {epoch}")
+    return det, det_loss
+
+
 def _train_classifier_at(
     kg: KnowledgeGraph, x: np.ndarray, y: np.ndarray, cfg: TrainConfig, epoch: int
 ) -> MLPClassifier:
@@ -143,13 +165,7 @@ def train_standard(
     )
     per_epoch: list[dict] = []
     for epoch in range(1, cfg.epochs_det + 1):
-        det, det_loss = train_detector_epoch(
-            det,
-            train_split,
-            None,
-            batch_size=cfg.batch_size,
-            rng=_derived_rng(cfg.seed, _TAG_BATCH, epoch),
-        )
+        det, det_loss = _detector_epoch_at(det, train_split, None, cfg, epoch)
         per_epoch.append(
             {"epoch": epoch, "det_loss": det_loss, "alpha_mean": 1.0, "alpha_max": 1.0}
         )
@@ -185,13 +201,7 @@ def train_shap_backprop(
     clf: MLPClassifier | None = None
     background: BackgroundSet | None = None
     for epoch in range(1, cfg.epochs_det + 1):
-        det, det_loss = train_detector_epoch(
-            det,
-            train_split,
-            weights or None,
-            batch_size=cfg.batch_size,
-            rng=_derived_rng(cfg.seed, _TAG_BATCH, epoch),
-        )
+        det, det_loss = _detector_epoch_at(det, train_split, weights or None, cfg, epoch)
         x_train, y_train, detections = _descriptors(det, train_split, kg, cfg.aggregation)
         clf = _train_classifier_at(kg, x_train, y_train, cfg, epoch)
         background = _background_at(x_train, cfg, epoch)
@@ -249,6 +259,11 @@ def part_macro_accuracy(
     return float(np.mean(correct[supported] / totals[supported]))
 
 
+def shap_eval_seed(cfg: TrainConfig) -> int:
+    """Base seed of test-split attributions; see `alignment.instance_seed`."""
+    return _derived_int(cfg.seed, _TAG_SHAP_EVAL)
+
+
 def evaluate(
     artifacts: RunArtifacts, test_split: list[SceneInstance], kg: KnowledgeGraph
 ) -> dict:
@@ -267,7 +282,7 @@ def evaluate(
         s=cfg.s,
         mode=cfg.shap_mode,
         num_coalition_samples=cfg.shap_samples,
-        seed=_derived_int(cfg.seed, _TAG_SHAP_EVAL),
+        seed=shap_eval_seed(cfg),
     )
     artifacts.ged_per_instance = ged_per_instance
     return {

@@ -3,6 +3,7 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
 from xnesyl.cli import main
@@ -105,6 +106,55 @@ class TestTrain:
         assert exc.value.code == 2
 
 
+    def test_detector_divergence_exits_4(self, kg_path, run_dir, capsys):
+        with np.errstate(all="ignore"):
+            code = main([
+                "train", "--kg", kg_path, "--data", run_dir["data"],
+                "--out-dir", str(run_dir["root"] / "diverged"), "--lr-det", "1e308",
+                "--epochs-det", "2", "--epochs-clf", "2", "--shap-samples", "32",
+            ])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "detector" in err and "epoch 1" in err
+
+
+class TestMalformedDataset:
+    @staticmethod
+    def _line(inst_id, dims):
+        return json.dumps({
+            "id": inst_id,
+            "object_class": "Gothic",
+            "regions": [
+                {"part_class": "pointed arch", "features": [0.5] * d} for d in dims
+            ],
+        })
+
+    def _train(self, kg_path, tmp_path, lines):
+        data = tmp_path / "bad.jsonl"
+        data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return main([
+            "train", "--kg", kg_path, "--data", str(data),
+            "--out-dir", str(tmp_path / "out"), "--epochs-det", "1", "--epochs-clf", "1",
+        ])
+
+    # one tuple of region feature dimensions per instance
+    @pytest.mark.parametrize(
+        "dims", [[(4, 4), (3,)], [(4, 3)]], ids=["across-instances", "within-instance"]
+    )
+    def test_mixed_feature_dimensions_exit_3(self, kg_path, tmp_path, capsys, dims):
+        lines = [self._line(f"inst-{i}", d) for i, d in enumerate(dims)]
+        code = self._train(kg_path, tmp_path, lines)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"bad.jsonl:{len(lines)}:" in err and "dimension" in err
+
+    def test_duplicate_ids_exit_3(self, kg_path, tmp_path, capsys):
+        lines = [self._line(inst_id, (4,)) for inst_id in ("inst-a", "inst-b", "inst-a")]
+        assert self._train(kg_path, tmp_path, lines) == 3
+        err = capsys.readouterr().err
+        assert "bad.jsonl:3:" in err and "duplicate instance id 'inst-a'" in err
+
+
 class TestEval:
     def test_stdout_matches_file_and_training_metrics(self, kg_path, run_dir, capsys):
         assert main([
@@ -137,8 +187,9 @@ class TestExplain:
         from xnesyl.alignment import build_sag
         from xnesyl.classifier import load_classifier
         from xnesyl.detector import aggregate, detect, load_detector
+        from xnesyl.alignment import instance_seed
         from xnesyl.shapley import shap_matrix
-        from xnesyl.training import config_from_echo, rebuild_background
+        from xnesyl.training import config_from_echo, rebuild_background, shap_eval_seed
         from xnesyl.datagen import split_dataset
 
         kg = monumai_kg()
@@ -156,12 +207,16 @@ class TestExplain:
         clf = load_classifier(run_dir["root"] / "ckpt" / "classifier.json")
         echo = json.loads((run_dir["root"] / "ckpt" / "metrics.json").read_text())["config"]
         cfg = config_from_echo(echo)
-        train_split, _, _ = split_dataset(dataset)
-        background = rebuild_background(kg, det, train_split, cfg)
+        splits = split_dataset(dataset)
+        background = rebuild_background(kg, det, splits[0], cfg)
         v = aggregate(detect(det, inst), cfg.aggregation).values
+        # seeded by the instance's position in its own split
+        index = next(
+            i for split in splits for i, other in enumerate(split) if other.id == inst.id
+        )
         values = shap_matrix(
             clf.predict_proba, v, background, cfg.shap_mode, cfg.shap_samples,
-            seed=cfg.seed,
+            seed=instance_seed(shap_eval_seed(cfg), index),
         )
         expected = build_sag(kg, v, values, cfg.s)
         assert parsed == expected.edges
@@ -170,6 +225,24 @@ class TestExplain:
             (run_dir["root"] / "ckpt" / f"sag-{inst.id}.json").read_text()
         )
         assert frozenset(tuple(e) for e in edge_doc["edges"]) == expected.edges
+
+    def test_distance_matches_ged_report_for_every_test_id(self, kg_path, run_dir, tmp_path):
+        # the fixture run uses --shap kernel, whose estimates depend on the seed
+        from xnesyl.alignment import SAG, shap_ged
+        from xnesyl.datagen import split_dataset
+
+        kg = monumai_kg()
+        ged_report = json.loads((run_dir["root"] / "ckpt" / "ged_report.json").read_text())
+        test_split = split_dataset(read_dataset(run_dir["data"], kg))[2]
+        for inst in test_split:
+            assert main([
+                "explain", "--kg", kg_path, "--data", run_dir["data"],
+                "--checkpoints", run_dir["out"], "--instance-id", inst.id,
+                "--out-dir", str(tmp_path),
+            ]) == 0
+            edges = json.loads((tmp_path / f"sag-{inst.id}.json").read_text())["edges"]
+            sag = SAG(frozenset(tuple(e) for e in edges))
+            assert shap_ged(sag, kg) == ged_report[inst.id], inst.id
 
     def test_unknown_instance_id(self, kg_path, run_dir):
         code = main([

@@ -10,10 +10,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from xnesyl.errors import NumericalError, ValidationError
 from xnesyl.shapley import (
     BackgroundSet,
+    _coalition_values,
+    _exact_from_values,
     exact_shap_matrix,
     exact_shapley,
     kernel_shap,
@@ -153,6 +156,82 @@ class TestExact:
                 model, rng.normal(size=n), BackgroundSet(rng.normal(size=(8, n)))
             )
             assert np.all(np.abs(matrix) <= 1.0 + 1e-9)
+
+
+def full_enumeration(model, x, bg):
+    """The 2^n route over the averaged game, kept as the reduced games' oracle.
+
+    Its masks are built here, independently of the shapley module: row i
+    holds the bits of i, feature j in bit j.
+    """
+    n = x.shape[0]
+    masks = np.array(list(itertools.product([False, True], repeat=n)))[:, ::-1]
+    return _exact_from_values(_coalition_values(model, x, bg, masks), n)
+
+
+@st.composite
+def exact_cases(draw, sparse=None, n_max=10):
+    """(model, x, background): sparse cases draw from a small value pool, so
+    x_j == b_j ties are common; backgrounds repeat rows."""
+    n = draw(st.integers(1, n_max))
+    b_rows = draw(st.integers(1, 8))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if sparse is None:
+        sparse = draw(st.booleans())
+    rng = np.random.default_rng(seed)
+    model = softmax_model(rng.normal(size=(3, n)))
+    if sparse:
+        pool = np.array([0.0, 0.0, 0.3, 1.0, 1.7])
+        x = rng.choice(pool, size=n)
+        distinct = rng.choice(pool, size=(b_rows, n))
+    else:
+        x = rng.normal(size=n)
+        offsets = rng.uniform(0.1, 2.0, size=(b_rows, n)) * rng.choice([-1, 1], size=(b_rows, n))
+        distinct = x + offsets
+    rows = distinct[rng.integers(0, b_rows, size=b_rows)]  # duplicates included
+    return model, x, BackgroundSet(rows)
+
+
+class TestReducedGames:
+    @given(exact_cases())
+    def test_matches_full_enumeration(self, case):
+        model, x, bg = case
+        np.testing.assert_allclose(
+            exact_shap_matrix(model, x, bg), full_enumeration(model, x, bg), rtol=0, atol=1e-12
+        )
+
+    @given(exact_cases(sparse=False))
+    def test_no_ties_is_bitwise_full_enumeration(self, case):
+        model, x, bg = case
+        assert not np.any(x[None, :] == bg.vectors)
+        np.testing.assert_array_equal(
+            exact_shap_matrix(model, x, bg), full_enumeration(model, x, bg)
+        )
+
+    @given(exact_cases())
+    def test_x_equal_to_every_reference_is_all_zero(self, case):
+        model, x, _ = case
+        bg = BackgroundSet(np.tile(x, (3, 1)))
+        values = exact_shap_matrix(model, x, bg)
+        assert values.shape == (3, x.shape[0])
+        assert np.all(values == 0.0)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(0, 13))  # 14 parts
+    def test_null_feature_is_exact_zero_and_adds_no_sag_edge(self, monumai, seed, b_rows, j):
+        from xnesyl.alignment import build_sag
+
+        kg = monumai
+        n = kg.num_parts
+        rng = np.random.default_rng(seed)
+        pool = [0.0, 0.0, 0.3, 1.0]
+        x = rng.choice(pool, size=n)
+        rows = rng.choice(pool, size=(b_rows, n))
+        rows[:, j] = x[j]  # detected (x_j > s) or not, feature j is a null player
+        model = softmax_model(rng.normal(size=(kg.num_object_classes, n)))
+        values = exact_shap_matrix(model, x, BackgroundSet(rows))
+        assert np.all(values[:, j] == 0.0)
+        sag = build_sag(kg, x, values)
+        assert all(part != kg.part_classes[j] for part, _ in sag.edges)
 
 
 class TestKernel:
