@@ -26,7 +26,7 @@ from .classifier import load_classifier, save_classifier
 from .datagen import GeneratorConfig, generate_dataset, read_dataset, split_dataset, write_dataset
 from .detector import aggregate, detect, load_detector, save_detector
 from .errors import NumericalError, ValidationError
-from .kg import load_kg
+from .kg import KnowledgeGraph, load_kg
 from .shapley import shap_matrix, shap_summary, write_summary_csv
 from .training import (
     RunArtifacts,
@@ -140,10 +140,21 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _load_run_dir(checkpoints: str):
+def _load_run_dir(checkpoints: str, kg: KnowledgeGraph):
+    """Checkpoints and config of a run, checked against the KG scoring them."""
     cp = Path(checkpoints)
     det = load_detector(cp / "detector.json")
     clf = load_classifier(cp / "classifier.json")
+    # the class order fixes every row and column index; a reordered KG
+    # would score the checkpoint's outputs against the wrong classes
+    for name, saved, expected in (
+        ("part_classes", det.part_classes, kg.part_classes),
+        ("object_classes", clf.object_classes, kg.object_classes),
+    ):
+        if saved != expected:
+            raise ValidationError(
+                f"checkpoint {name} {list(saved)} differ from --kg {name} {list(expected)}"
+            )
     report_path = cp / "metrics.json"
     if not report_path.exists():
         raise ValidationError(f"missing metrics report: {report_path}")
@@ -196,7 +207,7 @@ def _cmd_eval(args) -> int:
     kg = load_kg(args.kg)
     dataset = read_dataset(args.data, kg)
     train_split, _, test_split = split_dataset(dataset)
-    det, clf, cfg = _load_run_dir(args.checkpoints)
+    det, clf, cfg = _load_run_dir(args.checkpoints, kg)
     background = rebuild_background(kg, det, train_split, cfg)
     artifacts = RunArtifacts(det, clf, {}, [], cfg, background)
     metrics = evaluate(artifacts, test_split, kg)
@@ -221,7 +232,7 @@ def _cmd_explain(args) -> int:
     if not located:
         raise ValidationError(f"--instance-id {args.instance_id!r} not found in {args.data}")
     index, inst = located[0]
-    det, clf, cfg = _load_run_dir(args.checkpoints)
+    det, clf, cfg = _load_run_dir(args.checkpoints, kg)
     background = rebuild_background(kg, det, splits[0], cfg)
     v = aggregate(detect(det, inst), cfg.aggregation).values
     seed = instance_seed(shap_eval_seed(cfg), index)

@@ -26,6 +26,7 @@ Two routes are provided and deliberately kept independent of each other:
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -131,19 +132,35 @@ def _live_masks(live: np.ndarray) -> np.ndarray:
     return ((ints[:, None] >> shift) & 1).astype(bool)
 
 
-def _exact_from_values(values: np.ndarray, n: int) -> np.ndarray:
-    """Shapley combination over a full (2^n, m) coalition-value table."""
+@functools.lru_cache(maxsize=None)
+def _coalition_weights(n: int) -> np.ndarray:
+    """Shapley weight of each of the 2^n coalitions when one more feature joins.
+
+    Built once per n and shared by every caller, so it is read-only. The
+    full coalition, which no feature can join, gets weight 0.
+    """
     popcount = _all_masks(n).sum(axis=1)
     # weight of a coalition of size t when adding one more feature
     weights = np.array(
         [math.factorial(t) * math.factorial(n - t - 1) / math.factorial(n) for t in range(n)]
+        + [0.0]
     )
-    ints = np.arange(1 << n, dtype=np.int64)
-    shap = np.zeros((n, values.shape[1]))
+    table = weights[popcount]
+    table.flags.writeable = False
+    return table
+
+
+def _exact_from_values(values: np.ndarray, n: int) -> np.ndarray:
+    """Shapley combination over a full (2^n, m) coalition-value table."""
+    m = values.shape[1]
+    table = _coalition_weights(n)
+    shap = np.zeros((n, m))
     for j in range(n):
-        without = ints[(ints >> j) & 1 == 0]
-        w = weights[popcount[without]]
-        shap[j] = w @ (values[without + (1 << j)] - values[without])
+        # coalition index = (higher bits, bit j, lower bits): axis 1 picks
+        # bit j, so [:, 0] lists the coalitions without j in ascending order
+        w = table.reshape(-1, 2, 1 << j)[:, 0].ravel()
+        paired = values.reshape(-1, 2, 1 << j, m)
+        shap[j] = w @ (paired[:, 1] - paired[:, 0]).reshape(-1, m)
     return shap.T  # (m, n)
 
 
@@ -204,20 +221,24 @@ def _kernel_weight(n: int, size: int) -> float:
 def _sample_masks(
     n: int, num_samples: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sampled proper-coalition masks with accumulated frequency weights."""
+    """Sampled proper-coalition masks with accumulated frequency weights.
+
+    A draw picks its size from the kernel mass of the size strata, then a
+    uniform subset of that size: the features whose rank in a row of
+    uniform keys is below the size. Identical rows are merged, compared as
+    their packed bytes, and their counts become the weights, so no integer
+    key limits n.
+    """
     sizes = np.arange(1, n)
     size_mass = (n - 1) / (sizes * (n - sizes))  # kernel mass of each size stratum
     size_prob = size_mass / size_mass.sum()
-    counts: dict[int, int] = {}
     draws = rng.choice(sizes, size=num_samples, p=size_prob)
-    for s in draws:
-        members = rng.choice(n, size=int(s), replace=False)
-        key = int(np.sum(1 << members.astype(np.int64)))
-        counts[key] = counts.get(key, 0) + 1
-    keys = np.array(sorted(counts), dtype=np.int64)
-    masks = ((keys[:, None] >> np.arange(n)) & 1).astype(bool)
-    weights = np.array([counts[int(k)] for k in keys], dtype=np.float64)
-    return masks, weights
+    ranks = rng.random((num_samples, n)).argsort(axis=1).argsort(axis=1)
+    masks = ranks < draws[:, None]
+    packed = np.packbits(masks, axis=1)
+    rows = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, counts = np.unique(rows, return_index=True, return_counts=True)
+    return masks[first], counts.astype(np.float64)
 
 
 def _enumerate_proper_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -244,14 +265,17 @@ def _kernel_solve(
     sw = np.sqrt(weights)[:, None]
     a = sw * design
     b = sw * targets
-    rank = np.linalg.matrix_rank(a)
+    # rcond=None drops singular values below eps * max(M, N) * s_max, the
+    # matrix_rank tolerance, so one factorisation gives both rank and fit
+    coef, _, rank, sv = np.linalg.lstsq(a, b, rcond=None)  # coef (n-1, m)
     if rank < n - 1:
-        cond = np.linalg.cond(a)
+        # fewer rows than unknowns leaves missing singular values, i.e. zeros
+        full = sv.size == n - 1 and sv[-1] > 0
+        cond = sv[0] / sv[-1] if full else np.inf
         raise NumericalError(
             f"kernel regression system is singular (rank {rank} < {n - 1}, "
             f"condition number {cond:.3e}); draw more coalition samples"
         )
-    coef, *_ = np.linalg.lstsq(a, b, rcond=None)  # (n-1, m)
     phi = np.empty((values.shape[1], n))
     phi[:, :-1] = coef.T
     phi[:, -1] = span - coef.sum(axis=0)

@@ -8,7 +8,7 @@ import pytest
 
 from xnesyl.cli import main
 from xnesyl.datagen import read_dataset
-from xnesyl.kg import dumps_kg, monumai_kg
+from xnesyl.kg import KnowledgeGraph, dumps_kg, monumai_kg
 
 
 @pytest.fixture(scope="module")
@@ -264,6 +264,32 @@ class TestExplain:
             rows = list(csv.DictReader(handle))
         assert len(rows) == kg.num_object_classes * kg.num_parts
         assert {r["class"] for r in rows} == set(kg.object_classes)
+
+
+class TestCheckpointAgainstKg:
+    @pytest.mark.parametrize("command", ["eval", "explain"])
+    @pytest.mark.parametrize("field", ["part_classes", "object_classes"])
+    def test_reordered_kg_exits_3(self, run_dir, tmp_path, capsys, command, field):
+        kg = monumai_kg()
+        lists = {"object_classes": kg.object_classes, "part_classes": kg.part_classes}
+        lists[field] = lists[field][::-1]
+        reordered = tmp_path / "reordered.json"
+        reordered.write_text(
+            dumps_kg(KnowledgeGraph(typical_of=kg.typical_of, **lists)), encoding="utf-8"
+        )
+        inst_id = read_dataset(run_dir["data"], kg)[0].id
+        extra = {
+            "eval": ["--out", str(tmp_path / "eval.json")],
+            "explain": ["--instance-id", inst_id, "--out-dir", str(tmp_path)],
+        }[command]
+        code = main([
+            command, "--kg", str(reordered), "--data", run_dir["data"],
+            "--checkpoints", run_dir["out"], *extra,
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"checkpoint {field}" in err and f"--kg {field}" in err
+        assert list(tmp_path.iterdir()) == [reordered]
 
 
 class TestReport:

@@ -17,6 +17,7 @@ from xnesyl.shapley import (
     BackgroundSet,
     _coalition_values,
     _exact_from_values,
+    _sample_masks,
     exact_shap_matrix,
     exact_shapley,
     kernel_shap,
@@ -169,6 +170,28 @@ def full_enumeration(model, x, bg):
     return _exact_from_values(_coalition_values(model, x, bg, masks), n)
 
 
+def indexed_combine(values, n):
+    """The combine step by index arrays: per feature j, gather the
+    coalitions without j and with j; the reference for its sliced form."""
+    ints = np.arange(1 << n)
+    popcount = np.array([bin(i).count("1") for i in ints])
+    weights = np.array(
+        [math.factorial(t) * math.factorial(n - t - 1) / math.factorial(n) for t in range(n)]
+    )
+    shap = np.zeros((n, values.shape[1]))
+    for j in range(n):
+        without = ints[(ints >> j) & 1 == 0]
+        shap[j] = weights[popcount[without]] @ (values[without + (1 << j)] - values[without])
+    return shap.T
+
+
+@given(st.integers(1, 12), st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_combine_is_bitwise_indexed_combine(n, m, seed):
+    values = np.random.default_rng(seed).normal(size=(1 << n, m))
+    for _ in range(2):  # the second call reads the cached weight table
+        np.testing.assert_array_equal(_exact_from_values(values, n), indexed_combine(values, n))
+
+
 @st.composite
 def exact_cases(draw, sparse=None, n_max=10):
     """(model, x, background): sparse cases draw from a small value pool, so
@@ -234,6 +257,39 @@ class TestReducedGames:
         assert all(part != kg.part_classes[j] for part, _ in sag.edges)
 
 
+class TestSampleMasks:
+    @given(st.integers(2, 80), st.integers(1, 400), st.integers(0, 2**32 - 1))
+    def test_unique_proper_rows_weighted_by_draw_counts(self, n, num_samples, seed):
+        masks, weights = _sample_masks(n, num_samples, np.random.default_rng(seed))
+        assert masks.dtype == bool and masks.shape[1] == n
+        sizes = masks.sum(axis=1)
+        assert np.all((sizes > 0) & (sizes < n))
+        assert len({row.tobytes() for row in masks}) == masks.shape[0]
+        assert np.all(weights > 0) and weights.sum() == num_samples
+
+    @given(st.integers(2, 80), st.integers(1, 400), st.integers(0, 2**32 - 1))
+    def test_same_seed_same_output(self, n, num_samples, seed):
+        a = _sample_masks(n, num_samples, np.random.default_rng(seed))
+        b = _sample_masks(n, num_samples, np.random.default_rng(seed))
+        np.testing.assert_array_equal(a[0], b[0])
+        np.testing.assert_array_equal(a[1], b[1])
+
+    @pytest.mark.parametrize("n, draws", [(14, 100_000), (70, 20_000)])
+    def test_strata_follow_kernel_mass_and_subsets_are_uniform(self, n, draws):
+        masks, weights = _sample_masks(n, draws, np.random.default_rng(0))
+        sizes = np.arange(1, n)
+        mass = 1.0 / (sizes * (n - sizes))
+        expected = mass / mass.sum()
+        observed = np.bincount(masks.sum(axis=1), weights=weights, minlength=n)[1:] / draws
+        # five binomial standard deviations per stratum
+        tolerance = 5 * np.sqrt(expected * (1 - expected) / draws)
+        assert np.all(np.abs(observed - expected) <= tolerance)
+        # by symmetry every feature joins a draw with probability E[size] / n
+        inclusion = weights @ masks / draws
+        p = (expected @ sizes) / n
+        assert np.all(np.abs(inclusion - p) <= 5 * np.sqrt(p * (1 - p) / draws))
+
+
 class TestKernel:
     def test_full_enumeration_matches_exact(self):
         rng = np.random.default_rng(6)
@@ -271,6 +327,17 @@ class TestKernel:
         values = kernel_shap(model, x, bg, 0, num_coalition_samples=60, seed=3)
         span = model(x[None, :])[0, 0] - model(bg.vectors)[:, 0].mean()
         assert values.sum() == pytest.approx(span, abs=1e-9)
+
+    @pytest.mark.parametrize("n", [63, 70])
+    def test_large_n_satisfies_efficiency(self, n):
+        rng = np.random.default_rng(n)
+        model = softmax_model(rng.normal(size=(3, n)) * 0.3)
+        x = rng.normal(size=n)
+        bg = BackgroundSet(rng.normal(size=(4, n)))
+        values = kernel_shap_matrix(model, x, bg, 600, seed=1)
+        span = model(x[None, :])[0] - model(bg.vectors).mean(axis=0)
+        assert values.shape == (3, n)
+        np.testing.assert_allclose(values.sum(axis=1), span, rtol=0, atol=1e-9)
 
     def test_single_feature(self):
         model = lambda X: (2.0 * np.asarray(X)[:, 0])[:, None]
