@@ -20,7 +20,7 @@ from .alignment import (
     region_weights,
     shap_ged,
 )
-from .classifier import MLPClassifier, accuracy, forward, train_classifier
+from .classifier import MLPClassifier, accuracy, train_classifier
 from .datagen import (
     GeneratorConfig,
     Region,
@@ -66,7 +66,6 @@ __all__ = [
     "shap_ged",
     "MLPClassifier",
     "accuracy",
-    "forward",
     "train_classifier",
     "GeneratorConfig",
     "Region",

@@ -244,7 +244,7 @@ def mean_shap_ged(
     for index, inst in enumerate(instances):
         v = aggregate(detect(det, inst), aggregation).values
         values = shap_matrix(
-            clf.predict_proba,
+            clf,
             v,
             background,
             mode,

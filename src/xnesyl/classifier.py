@@ -14,13 +14,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .detector import FeatureVector, log_softmax, softmax
+from .detector import log_softmax, softmax
 from .errors import NumericalError, ValidationError
 from .kg import KnowledgeGraph
 
 __all__ = [
     "MLPClassifier",
-    "forward",
     "loss_and_grad",
     "train_classifier",
     "accuracy",
@@ -71,9 +70,32 @@ class MLPClassifier:
             raise ValidationError(
                 f"descriptor has dim {x.shape[1]}, classifier expects {self.input_dim}"
             )
-        hidden = np.maximum(x @ self.w1.T + self.b1, 0.0)
-        probs = softmax(hidden @ self.w2.T + self.b2)
+        probs = self.head(x @ self.w1.T + self.b1)
         return probs[0] if squeeze else probs
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        return self.predict_proba(x)
+
+    @property
+    def first_layer(self) -> tuple[np.ndarray, np.ndarray]:
+        """The affine first layer (weight (hidden, n), bias (hidden,))."""
+        return self.w1, self.b1
+
+    def head(self, pre: np.ndarray) -> np.ndarray:
+        """(R, hidden) first-layer outputs to (R, m) class probability rows.
+
+        Applies the rectifier, the second layer and the softmax. The logits
+        are laid out class-major, (m, R), so the softmax reduces across m
+        contiguous rows instead of along R rows of m values; every element
+        goes through the same operations as `detector.softmax` on the
+        row-major logits, so the result is bitwise equal to it.
+        """
+        hidden = np.maximum(pre, 0.0)
+        logits = self.w2 @ hidden.T + self.b2[:, None]
+        logits -= logits.max(axis=0)
+        probs = np.exp(logits, out=logits)
+        probs /= probs.sum(axis=0)
+        return probs.T
 
     def parameters(self) -> list[np.ndarray]:
         return [self.w1, self.b1, self.w2, self.b2]
@@ -86,12 +108,6 @@ class MLPClassifier:
             self.w2.copy(),
             self.b2.copy(),
         )
-
-
-def forward(clf: MLPClassifier, v: FeatureVector | np.ndarray) -> np.ndarray:
-    """Class probability vector for one descriptor."""
-    values = v.values if isinstance(v, FeatureVector) else v
-    return clf.predict_proba(np.asarray(values))
 
 
 def loss_and_grad(

@@ -236,9 +236,7 @@ def _cmd_explain(args) -> int:
     background = rebuild_background(kg, det, splits[0], cfg)
     v = aggregate(detect(det, inst), cfg.aggregation).values
     seed = instance_seed(shap_eval_seed(cfg), index)
-    values = shap_matrix(
-        clf.predict_proba, v, background, cfg.shap_mode, cfg.shap_samples, seed=seed
-    )
+    values = shap_matrix(clf, v, background, cfg.shap_mode, cfg.shap_samples, seed=seed)
     sag = build_sag(kg, v, values, cfg.s)
     out_dir = Path(args.out_dir) if args.out_dir else Path(args.checkpoints)
     out_dir.mkdir(parents=True, exist_ok=True)

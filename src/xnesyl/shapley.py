@@ -21,6 +21,13 @@ Two routes are provided and deliberately kept independent of each other:
   and full coalitions pinned to the exact model values. Sampled when the
   coalition space is large; when every proper coalition is enumerated it
   reproduces the exact values.
+
+Both routes get their coalition values from `_coalition_values`. A model
+that exposes an affine first layer and a head (`LayeredModel`, such as
+`MLPClassifier`) is evaluated through that structure, without building
+composite descriptors; any other callable is called on the composite
+rows. The black-box route is the oracle the tests hold the factored one
+to (1e-12).
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Protocol
 
 import numpy as np
 
@@ -39,6 +46,7 @@ from .kg import KnowledgeGraph
 
 __all__ = [
     "BackgroundSet",
+    "LayeredModel",
     "Model",
     "exact_shapley",
     "exact_shap_matrix",
@@ -51,10 +59,31 @@ __all__ = [
 ]
 
 # A model is a batched callable: (B, n) descriptor rows -> (B, m) outputs.
+# One that is also a LayeredModel is evaluated through its structure.
 Model = Callable[[np.ndarray], np.ndarray]
 
+
+class LayeredModel(Protocol):
+    """A model whose output is head(rows @ weight.T + bias).
+
+    `first_layer` is the affine map (weight (hidden, n), bias (hidden,));
+    `head` maps its (R, hidden) outputs to the (R, m) model outputs.
+    """
+
+    def __call__(self, rows: np.ndarray) -> np.ndarray: ...
+
+    @property
+    def first_layer(self) -> tuple[np.ndarray, np.ndarray]: ...
+
+    def head(self, pre: np.ndarray) -> np.ndarray: ...
+
+
 EXACT_MAX_FEATURES = 16
-_CHUNK_ROWS = 1 << 22  # cap on composite rows evaluated per model call
+# Cap on the elements of one chunk's composite rows or pre-activations. At
+# 2^16 float64 (512 KB) a chunk's temporaries stay in a 2 MB L2 cache: one
+# dense exact call (n = 14, bg 16) takes 25 ms against 48 ms at 2^22 on a
+# 2-core Xeon VM with 2 MB of L2 per core.
+_CHUNK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -99,18 +128,46 @@ def _coalition_values(
 
     masks: (K, n) boolean, True = feature takes its value from x.
     Returns (K, m).
+
+    A `LayeredModel` is evaluated through its affine first layer: against
+    reference b, coalition S has the pre-activation
+    (W b + c) + mask_S @ ((x - b) * W^T), so one (K, n) @ (n, B * hidden)
+    product gives every (coalition, reference) row without building the
+    composite descriptors. Any other model is called on the (K * B, n)
+    composite rows.
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
     b = bg.vectors
-    k_total = masks.shape[0]
-    chunk = max(1, _CHUNK_ROWS // max(1, bg.size * n))
+    # a LayeredModel; isinstance on a runtime-checkable Protocol costs ~17 us a call
+    if hasattr(model, "first_layer"):
+        weight, bias = model.first_layer
+        hidden = weight.shape[0]
+        if weight.shape[1] != n:
+            raise ValidationError(
+                f"descriptor has dim {n}, model expects {weight.shape[1]}"
+            )
+        width = bg.size * hidden
+        base = (b @ weight.T + bias).ravel()  # (B * hidden,) pre-activation at each b
+        delta = ((x - b)[:, :, None] * weight.T).transpose(1, 0, 2).reshape(n, width)
+
+        def evaluate(part: np.ndarray) -> np.ndarray:
+            pre = part.astype(np.float64) @ delta
+            pre += base
+            return model.head(pre.reshape(part.shape[0] * bg.size, hidden))
+
+    else:
+        width = bg.size * n
+
+        def evaluate(part: np.ndarray) -> np.ndarray:
+            composite = np.where(part[:, None, :], x[None, None, :], b[None, :, :])
+            return model(composite.reshape(-1, n))
+
+    chunk = max(1, _CHUNK_ELEMENTS // max(1, width))
     out_chunks = []
-    for start in range(0, k_total, chunk):
+    for start in range(0, masks.shape[0], chunk):
         part = masks[start : start + chunk]
-        composite = np.where(part[:, None, :], x[None, None, :], b[None, :, :])
-        flat = composite.reshape(-1, n)
-        outputs = np.asarray(model(flat), dtype=np.float64)
+        outputs = np.asarray(evaluate(part), dtype=np.float64)
         outputs = outputs.reshape(part.shape[0], bg.size, -1).mean(axis=1)
         out_chunks.append(outputs)
     return np.concatenate(out_chunks, axis=0)

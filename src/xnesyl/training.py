@@ -211,7 +211,7 @@ def train_shap_backprop(
             # over the whole training split every epoch, so it always takes
             # the sampled kernel route; cfg.shap_mode governs the metric.
             shap_values = kernel_shap_matrix(
-                clf.predict_proba,
+                clf,
                 x_train[index],
                 background,
                 cfg.shap_samples,

@@ -2,16 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from xnesyl.classifier import (
     MLPClassifier,
     accuracy,
-    forward,
     load_classifier,
     loss_and_grad,
     save_classifier,
     train_classifier,
 )
+from xnesyl.detector import softmax
 from xnesyl.errors import ValidationError
 
 
@@ -30,21 +31,21 @@ class TestForward:
         clf = MLPClassifier.create(monumai, seed=0)
         clf.w1[:] = 0.0
         clf.w2[:] = 0.0
-        probs = forward(clf, np.ones(monumai.num_parts))
+        probs = clf.predict_proba(np.ones(monumai.num_parts))
         np.testing.assert_allclose(probs, 1.0 / monumai.num_object_classes)
 
     def test_outputs_sum_to_one(self, monumai):
         clf = random_classifier(monumai, 1)
         rng = np.random.default_rng(2)
         for _ in range(25):
-            probs = forward(clf, rng.uniform(0, 3, size=monumai.num_parts))
+            probs = clf.predict_proba(rng.uniform(0, 3, size=monumai.num_parts))
             assert probs.sum() == pytest.approx(1.0, abs=1e-9)
             assert np.all(probs >= 0)
 
     def test_dimension_mismatch(self, monumai):
         clf = MLPClassifier.create(monumai, seed=0)
         with pytest.raises(ValidationError, match="dim"):
-            forward(clf, np.zeros(monumai.num_parts + 1))
+            clf.predict_proba(np.zeros(monumai.num_parts + 1))
 
     def test_hidden_width_default(self, monumai):
         clf = MLPClassifier.create(monumai, seed=0)
@@ -60,8 +61,30 @@ class TestForward:
         permuted = clf.copy()
         permuted.w1 = clf.w1[:, perm]
         np.testing.assert_allclose(
-            forward(permuted, v[perm]), forward(clf, v), atol=1e-12
+            permuted.predict_proba(v[perm]), clf.predict_proba(v), atol=1e-12
         )
+
+    @given(
+        st.integers(1, 16), st.integers(1, 12), st.integers(1, 6), st.integers(1, 300),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_class_major_softmax_is_bitwise_row_major(self, n, hidden, m, rows, seed):
+        # the head lays the logits out (m, R); the reference is the
+        # row-wise softmax over the (R, m) logits
+        rng = np.random.default_rng(seed)
+        clf = MLPClassifier(
+            tuple(f"class {k}" for k in range(m)),
+            rng.normal(size=(hidden, n)),
+            rng.normal(size=hidden),
+            rng.normal(scale=3.0, size=(m, hidden)),
+            rng.normal(size=m),
+        )
+        x = rng.normal(scale=2.0, size=(rows, n))
+        for batch in (x, x[:1]):
+            logits = np.maximum(batch @ clf.w1.T + clf.b1, 0.0) @ clf.w2.T + clf.b2
+            np.testing.assert_array_equal(clf.predict_proba(batch), softmax(logits))
+            np.testing.assert_array_equal(clf(batch), softmax(logits))
+        np.testing.assert_array_equal(clf.predict_proba(x[0]), clf.predict_proba(x[:1])[0])
 
 
 class TestGradients:

@@ -7,11 +7,14 @@ against the exact enumerator.
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from xnesyl import shapley as shapley_module
+from xnesyl.classifier import MLPClassifier
 from xnesyl.errors import NumericalError, ValidationError
 from xnesyl.shapley import (
     BackgroundSet,
@@ -22,6 +25,7 @@ from xnesyl.shapley import (
     exact_shapley,
     kernel_shap,
     kernel_shap_matrix,
+    shap_matrix,
     shap_summary,
     write_summary_csv,
 )
@@ -257,6 +261,92 @@ class TestReducedGames:
         assert all(part != kg.part_classes[j] for part, _ in sag.edges)
 
 
+@st.composite
+def layered_cases(draw, n_max=14):
+    """(classifier, x, background) for the factored route: sparse cases tie
+    x with the references, bg may be a single row, and `tied` makes x equal
+    to every reference."""
+    n = draw(st.integers(1, n_max))
+    b_rows = draw(st.integers(1, 8))
+    hidden = draw(st.integers(1, 12))
+    m = draw(st.integers(1, 5))
+    sparse = draw(st.booleans())
+    tied = draw(st.booleans()) and draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    clf = MLPClassifier(
+        tuple(f"class {k}" for k in range(m)),
+        rng.normal(size=(hidden, n)),
+        rng.normal(scale=0.5, size=hidden),
+        rng.normal(scale=2.0, size=(m, hidden)),
+        rng.normal(size=m),
+    )
+    if sparse:
+        pool = np.array([0.0, 0.0, 0.3, 1.0, 1.7])
+        x = rng.choice(pool, size=n)
+        rows = rng.choice(pool, size=(b_rows, n))
+    else:
+        x = rng.uniform(0.0, 3.0, size=n)
+        rows = rng.uniform(0.0, 3.0, size=(b_rows, n))
+    if tied:
+        rows = np.tile(x, (b_rows, 1))
+    return clf, x, BackgroundSet(rows)
+
+
+class TestFactoredRoute:
+    """A classifier is evaluated through its first layer; the same calls on a
+    lambda take the black-box route, the oracle."""
+
+    @settings(deadline=None)
+    @given(layered_cases())
+    def test_exact_matches_black_box(self, case):
+        clf, x, bg = case
+        np.testing.assert_allclose(
+            exact_shap_matrix(clf, x, bg),
+            exact_shap_matrix(lambda X: clf.predict_proba(X), x, bg),
+            rtol=0, atol=1e-12,
+        )
+
+    @settings(deadline=None)
+    @given(layered_cases(), st.integers(2, 6), st.integers(0, 2**32 - 1))
+    def test_kernel_matches_black_box(self, case, per_feature, seed):
+        clf, x, bg = case
+        samples = per_feature * x.shape[0]
+        runs = []
+        for model in (clf, lambda X: clf.predict_proba(X)):
+            try:
+                runs.append(kernel_shap_matrix(model, x, bg, samples, seed))
+            except NumericalError:  # rank depends on the masks alone
+                runs.append(None)
+        if runs[0] is None or runs[1] is None:
+            assert runs == [None, None]
+        else:
+            np.testing.assert_allclose(runs[0], runs[1], rtol=0, atol=1e-12)
+
+    @given(layered_cases(n_max=7), st.integers(1, 400))
+    def test_chunk_boundaries(self, case, cap):
+        # a cap of a few elements splits the masks into chunks of one or
+        # more coalitions, on both routes
+        clf, x, bg = case
+        masks = shapley_module._all_masks(x.shape[0])
+        reference = _coalition_values(lambda X: clf.predict_proba(X), x, bg, masks)
+        with mock.patch.object(shapley_module, "_CHUNK_ELEMENTS", cap):
+            for model in (clf, lambda X: clf.predict_proba(X)):
+                np.testing.assert_allclose(
+                    _coalition_values(model, x, bg, masks), reference, rtol=0, atol=1e-12
+                )
+
+    @pytest.mark.parametrize("shap", ["exact", "kernel"])
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_rejects_descriptor_of_other_dimension(self, monumai, shap, tied):
+        clf = MLPClassifier.create(monumai, seed=0)
+        rng = np.random.default_rng(1)
+        n = monumai.num_parts - 1
+        x = rng.uniform(0, 2, size=n)
+        bg = BackgroundSet(np.tile(x, (3, 1)) if tied else rng.uniform(0, 2, size=(3, n)))
+        with pytest.raises(ValidationError, match=f"dim {n}"):
+            shap_matrix(clf, x, bg, shap, 4 * n, seed=0)
+
+
 class TestSampleMasks:
     @given(st.integers(2, 80), st.integers(1, 400), st.integers(0, 2**32 - 1))
     def test_unique_proper_rows_weighted_by_draw_counts(self, n, num_samples, seed):
@@ -339,6 +429,27 @@ class TestKernel:
         assert values.shape == (3, n)
         np.testing.assert_allclose(values.sum(axis=1), span, rtol=0, atol=1e-9)
 
+    @given(st.integers(63, 80), st.integers(0, 2**32 - 1))
+    def test_large_n_axioms_on_additive_model(self, n, seed):
+        # v(S) of an additive model is additive in S, so the weighted
+        # least-squares fit is exact at any full-rank sample: features 0
+        # and 1 are symmetric, feature 2 is a dummy
+        rng = np.random.default_rng(seed)
+        w = rng.normal(size=(3, n))
+        w[:, 1] = w[:, 0]
+        w[:, 2] = 0.0
+        model = lambda X: np.sin(np.asarray(X)) @ w.T
+        x = rng.normal(size=n)
+        rows = rng.normal(size=(4, n))
+        x[1] = x[0]
+        rows[:, 1] = rows[:, 0]
+        bg = BackgroundSet(rows)
+        values = kernel_shap_matrix(model, x, bg, 3 * n, seed)
+        span = model(x[None, :])[0] - model(rows).mean(axis=0)
+        np.testing.assert_allclose(values[:, 1], values[:, 0], rtol=0, atol=1e-9)
+        assert np.all(np.abs(values[:, 2]) <= 1e-9)
+        np.testing.assert_allclose(values.sum(axis=1), span, rtol=0, atol=1e-9)
+
     def test_single_feature(self):
         model = lambda X: (2.0 * np.asarray(X)[:, 0])[:, None]
         bg = BackgroundSet(np.array([[0.5]]))
@@ -357,7 +468,6 @@ class TestKernel:
         # mask set by duplicating one coalition via monkeypatched sampling
         model = lambda X: (np.asarray(X) @ np.ones(4))[:, None]
         bg = BackgroundSet(np.zeros((1, 4)))
-        from xnesyl import shapley as shapley_module
 
         def degenerate_masks(n, num_samples, rng):
             masks = np.zeros((2, n), dtype=bool)
