@@ -79,8 +79,8 @@ class WeightScheme:
             raise ValidationError(
                 f"unknown weighting scheme {self.kind!r}; expected one of {SCHEME_KINDS}"
             )
-        if self.h <= 0:
-            raise ValidationError("balancing hyperparameter h must be positive")
+        if not (np.isfinite(self.h) and self.h > 0):
+            raise ValidationError("balancing hyperparameter h must be finite and positive")
 
     @property
     def instance_level(self) -> bool:

@@ -88,10 +88,12 @@ class MLPClassifier:
         are laid out class-major, (m, R), so the softmax reduces across m
         contiguous rows instead of along R rows of m values; every element
         goes through the same operations as `detector.softmax` on the
-        row-major logits, so the result is bitwise equal to it.
+        row-major logits, so the result is bitwise equal to it. The rectifier
+        is applied in place, so `pre` is overwritten.
         """
-        hidden = np.maximum(pre, 0.0)
-        logits = self.w2 @ hidden.T + self.b2[:, None]
+        hidden = np.maximum(pre, 0.0, out=pre)
+        logits = self.w2 @ hidden.T
+        logits += self.b2[:, None]
         logits -= logits.max(axis=0)
         probs = np.exp(logits, out=logits)
         probs /= probs.sum(axis=0)

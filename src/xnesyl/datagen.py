@@ -99,8 +99,9 @@ class GeneratorConfig:
             )
         if not 0.0 <= self.noise_rate <= 1.0:
             raise ValidationError("noise_rate must lie in [0, 1]")
-        if self.separation <= 0.0:
-            raise ValidationError("separation must be positive")
+        # a nan or inf separation would stall the placement loop in part_means
+        if not (np.isfinite(self.separation) and self.separation > 0.0):
+            raise ValidationError("separation must be finite and positive")
 
 
 def part_means(kg: KnowledgeGraph, cfg: GeneratorConfig) -> np.ndarray:

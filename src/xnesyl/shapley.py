@@ -22,12 +22,14 @@ Two routes are provided and deliberately kept independent of each other:
   coalition space is large; when every proper coalition is enumerated it
   reproduces the exact values.
 
-Both routes get their coalition values from `_coalition_values`. A model
-that exposes an affine first layer and a head (`LayeredModel`, such as
-`MLPClassifier`) is evaluated through that structure, without building
-composite descriptors; any other callable is called on the composite
-rows. The black-box route is the oracle the tests hold the factored one
-to (1e-12).
+A model that exposes an affine first layer and a head (`LayeredModel`,
+such as `MLPClassifier`) is evaluated through that structure, without
+building composite descriptors: the exact route builds every coalition's
+first-layer output by subset sums (`_layered_game_values`), and the
+kernel route multiplies its sampled masks into the first layer
+(`_coalition_values`). Any other callable is called on the composite
+rows (`_coalition_values`). That black-box route is the oracle the tests
+hold both structured ones to (1e-12).
 """
 
 from __future__ import annotations
@@ -67,7 +69,8 @@ class LayeredModel(Protocol):
     """A model whose output is head(rows @ weight.T + bias).
 
     `first_layer` is the affine map (weight (hidden, n), bias (hidden,));
-    `head` maps its (R, hidden) outputs to the (R, m) model outputs.
+    `head` maps its (R, hidden) outputs to the (R, m) model outputs and may
+    overwrite its argument, so callers pass an array they own.
     """
 
     def __call__(self, rows: np.ndarray) -> np.ndarray: ...
@@ -121,6 +124,19 @@ class BackgroundSet:
         return cls(descriptors[np.sort(idx)])
 
 
+def _is_layered(model: Model) -> bool:
+    # isinstance on a runtime-checkable Protocol costs ~17 us a call
+    return hasattr(model, "first_layer")
+
+
+def _first_layer(model: LayeredModel, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The model's (weight, bias), checked against an n-feature descriptor."""
+    weight, bias = model.first_layer
+    if weight.shape[1] != n:
+        raise ValidationError(f"descriptor has dim {n}, model expects {weight.shape[1]}")
+    return weight, bias
+
+
 def _coalition_values(
     model: Model, x: np.ndarray, bg: BackgroundSet, masks: np.ndarray
 ) -> np.ndarray:
@@ -139,14 +155,9 @@ def _coalition_values(
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
     b = bg.vectors
-    # a LayeredModel; isinstance on a runtime-checkable Protocol costs ~17 us a call
-    if hasattr(model, "first_layer"):
-        weight, bias = model.first_layer
+    if _is_layered(model):
+        weight, bias = _first_layer(model, n)
         hidden = weight.shape[0]
-        if weight.shape[1] != n:
-            raise ValidationError(
-                f"descriptor has dim {n}, model expects {weight.shape[1]}"
-            )
         width = bg.size * hidden
         base = (b @ weight.T + bias).ravel()  # (B * hidden,) pre-activation at each b
         delta = ((x - b)[:, :, None] * weight.T).transpose(1, 0, 2).reshape(n, width)
@@ -221,6 +232,48 @@ def _exact_from_values(values: np.ndarray, n: int) -> np.ndarray:
     return shap.T  # (m, n)
 
 
+def _layered_game_values(
+    model: LayeredModel, x: np.ndarray, rows: np.ndarray, live: np.ndarray
+) -> np.ndarray:
+    """Reference-averaged outputs of every coalition of the live columns.
+
+    rows: (B, n) references sharing one live pattern; live: the L columns
+    where x differs from them. Returns (2^L, m), coalitions in
+    `_live_masks` order.
+
+    Against reference b, a coalition's first-layer output is (W b + c)
+    plus the sum over its members j of delta_j = W[:, j] (x_j - b_j). A
+    coalition index splits into high and low bits. The sums over the low
+    bits form one table built by doubling, t[2^j : 2^(j+1)] = t[:2^j] +
+    delta_j, laid out (hidden, B, 2^low) with `low` the largest value that
+    keeps it within _CHUNK_ELEMENTS. Each block of 2^low coalitions is that
+    table plus the deltas of its high bits, summed once per block, so no
+    array grows past the cap. The cost is one addition per element instead
+    of an n-term product, and no mask or composite row is built.
+    """
+    weight, bias = _first_layer(model, x.shape[0])
+    hidden, refs, count = weight.shape[0], rows.shape[0], live.size
+    # delta[j] = outer(W[:, live_j], x_j - b_j): (L, hidden, B)
+    delta = weight.T[live][:, :, None] * (x[live] - rows[:, live]).T[:, None, :]
+    low = min(count, max(0, (_CHUNK_ELEMENTS // (hidden * refs)).bit_length() - 1))
+    table = np.empty((hidden, refs, 1 << low))
+    table[..., 0] = weight @ rows.T + bias[:, None]
+    for j in range(low):
+        np.add(table[..., : 1 << j], delta[j, :, :, None], out=table[..., 1 << j : 2 << j])
+    high = delta[low:].reshape(count - low, hidden * refs)
+    shifts = np.arange(count - low)
+    pre = np.empty_like(table)  # scratch the head may overwrite
+    # the head takes (R, hidden) rows; the transposed view keeps `pre` hidden-major
+    pre_rows = pre.reshape(hidden, -1).T
+    out_blocks = []
+    for block in range(1 << (count - low)):
+        offset = ((block >> shifts) & 1) @ high
+        np.add(table, offset.reshape(hidden, refs, 1), out=pre)
+        probs = model.head(pre_rows).T  # (m, B * 2^low)
+        out_blocks.append(probs.reshape(probs.shape[0], refs, -1).mean(axis=1).T)
+    return np.concatenate(out_blocks, axis=0)
+
+
 def _check_exact_inputs(x: np.ndarray, bg: BackgroundSet) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
@@ -249,6 +302,7 @@ def exact_shap_matrix(model: Model, x: np.ndarray, bg: BackgroundSet) -> np.ndar
     """
     x = _check_exact_inputs(x, bg)
     n = x.shape[0]
+    layered = _is_layered(model)
     patterns, group = np.unique(x[None, :] != bg.vectors, axis=0, return_inverse=True)
     shap = None
     for g, pattern in enumerate(patterns):
@@ -256,7 +310,10 @@ def exact_shap_matrix(model: Model, x: np.ndarray, bg: BackgroundSet) -> np.ndar
         if live.size == 0:
             continue  # every feature is a null player: contributes exactly 0
         rows = bg.vectors[group == g]
-        values = _coalition_values(model, x, BackgroundSet(rows), _live_masks(pattern))
+        if layered:
+            values = _layered_game_values(model, x, rows, live)
+        else:
+            values = _coalition_values(model, x, BackgroundSet(rows), _live_masks(pattern))
         part = _exact_from_values(values, live.size) * (rows.shape[0] / bg.size)
         if shap is None:
             shap = np.zeros((part.shape[0], n))
@@ -301,9 +358,9 @@ def _sample_masks(
 def _enumerate_proper_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
     ints = np.arange(1, (1 << n) - 1, dtype=np.int64)
     masks = ((ints[:, None] >> np.arange(n)) & 1).astype(bool)
-    sizes = masks.sum(axis=1)
-    weights = np.array([_kernel_weight(n, int(s)) for s in sizes])
-    return masks, weights
+    # one weight per coalition size 1 .. n-1, read by popcount
+    per_size = np.array([_kernel_weight(n, size) for size in range(1, n)])
+    return masks, per_size[masks.sum(axis=1) - 1]
 
 
 def _kernel_solve(

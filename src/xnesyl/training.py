@@ -79,8 +79,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs_det < 1 or self.epochs_clf < 1:
             raise ValidationError("epoch counts must be >= 1")
-        if self.lr_det <= 0 or self.lr_clf <= 0:
-            raise ValidationError("learning rates must be positive")
+        if not all(np.isfinite(rate) and rate > 0 for rate in (self.lr_det, self.lr_clf)):
+            raise ValidationError("learning rates must be finite and positive")
+        if not (np.isfinite(self.s) and np.isfinite(self.v_threshold)):
+            raise ValidationError("thresholds s and v_threshold must be finite")
         if self.shap_mode not in ("exact", "kernel"):
             raise ValidationError(f"unknown shap mode {self.shap_mode!r}")
         if self.aggregation not in ("frcnn", "retina"):

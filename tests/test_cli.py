@@ -105,6 +105,15 @@ class TestTrain:
             main(["train", "--kg", kg_path, "--frobnicate"])
         assert exc.value.code == 2
 
+    def test_non_finite_learning_rate_exits_3(self, kg_path, run_dir, capsys):
+        code = main([
+            "train", "--kg", kg_path, "--data", run_dir["data"],
+            "--out-dir", str(run_dir["root"] / "nan-lr"), "--lr-det", "nan",
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "learning rates must be finite" in err and "Traceback" not in err
+
 
     def test_detector_divergence_exits_4(self, kg_path, run_dir, capsys):
         with np.errstate(all="ignore"):

@@ -72,6 +72,13 @@ class TestGenerate:
         with pytest.raises(ValidationError, match="'Y'"):
             generate_dataset(kg, GeneratorConfig(seed=0, noise_rate=0.0), 10)
 
+    @pytest.mark.parametrize("separation", [0.0, -1.0, float("nan"), float("inf")])
+    def test_separation_must_be_finite_and_positive(self, separation):
+        # built directly: a nan or inf separation used to pass validation and
+        # then loop forever in part_means
+        with pytest.raises(ValidationError, match="separation"):
+            GeneratorConfig(seed=0, separation=separation)
+
     def test_nearest_mean_oracle_separable(self, monumai):
         # With unit-variance features and means >= 6 apart the nearest-mean
         # rule should make essentially no region mistakes.

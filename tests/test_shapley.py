@@ -335,6 +335,22 @@ class TestFactoredRoute:
                     _coalition_values(model, x, bg, masks), reference, rtol=0, atol=1e-12
                 )
 
+    @settings(deadline=None)
+    @given(layered_cases(n_max=10), st.data())
+    def test_exact_block_boundaries(self, case, data):
+        # a cap of 1 element leaves every coalition bit to the per-block high
+        # sum; a cap of hidden * B * 2^n puts every bit in the low table
+        clf, x, bg = case
+        per_coalition = clf.w1.shape[0] * bg.size
+        cap = data.draw(
+            st.one_of(st.just(1), st.integers(0, x.shape[0]).map(lambda e: per_coalition << e))
+        )
+        reference = exact_shap_matrix(lambda X: clf.predict_proba(X), x, bg)
+        with mock.patch.object(shapley_module, "_CHUNK_ELEMENTS", cap):
+            np.testing.assert_allclose(
+                exact_shap_matrix(clf, x, bg), reference, rtol=0, atol=1e-12
+            )
+
     @pytest.mark.parametrize("shap", ["exact", "kernel"])
     @pytest.mark.parametrize("tied", [False, True])
     def test_rejects_descriptor_of_other_dimension(self, monumai, shap, tied):
@@ -381,6 +397,12 @@ class TestSampleMasks:
 
 
 class TestKernel:
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_enumerated_weights_are_per_mask_weights(self, n):
+        masks, weights = shapley_module._enumerate_proper_masks(n)
+        per_mask = [shapley_module._kernel_weight(n, int(s)) for s in masks.sum(axis=1)]
+        np.testing.assert_array_equal(weights, np.array(per_mask))
+
     def test_full_enumeration_matches_exact(self):
         rng = np.random.default_rng(6)
         n = 8

@@ -67,6 +67,30 @@ class TestStandard:
         }
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("lr_det", float("nan")),
+            ("lr_det", float("inf")),
+            ("lr_clf", float("nan")),
+            ("lr_clf", float("inf")),
+            ("s", float("nan")),
+            ("s", float("-inf")),
+            ("v_threshold", float("nan")),
+            ("v_threshold", float("inf")),
+        ],
+    )
+    def test_non_finite_value_rejected(self, field, value):
+        with pytest.raises(ValidationError, match="must be finite"):
+            TrainConfig(seed=0, **{field: value})
+
+    @pytest.mark.parametrize("h", [float("nan"), float("inf")])
+    def test_non_finite_h_rejected(self, h):
+        with pytest.raises(ValidationError, match="h must be finite"):
+            WeightScheme("linear_bbox", h=h)
+
+
 class TestShapBackprop:
     def test_requires_scheme(self, small_splits):
         kg, splits = small_splits
