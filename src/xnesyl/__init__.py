@@ -32,7 +32,6 @@ from .datagen import (
 )
 from .detector import (
     DetectionSet,
-    FeatureVector,
     PartDetector,
     aggregate_frcnn,
     aggregate_retina,
@@ -75,7 +74,6 @@ __all__ = [
     "split_dataset",
     "write_dataset",
     "DetectionSet",
-    "FeatureVector",
     "PartDetector",
     "aggregate_frcnn",
     "aggregate_retina",

@@ -25,8 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifier import MLPClassifier
-from .datagen import SceneInstance
-from .detector import PartDetector, aggregate, detect
 from .errors import ValidationError
 from .kg import KnowledgeGraph, project
 from .shapley import BackgroundSet, shap_matrix
@@ -42,7 +40,8 @@ __all__ = [
     "region_weights",
     "shap_ged",
     "mean_shap_ged",
-    "instance_seed",
+    "derive_seed",
+    "instance_attribution",
     "sag_to_dot",
     "sag_to_json",
 ]
@@ -210,22 +209,47 @@ def shap_ged(sag: SAG, kg: KnowledgeGraph, one_sided: bool = False) -> int:
     return len(sag.edges ^ projection)
 
 
-def instance_seed(seed: int, index: int) -> int:
-    """Attribution seed of the instance at `index` in a scored split.
+def derive_seed(seed: int, *parts: int) -> int:
+    """Integer seed of the stream named by `parts` (a role tag, then indices).
 
-    `mean_shap_ged` and `xnesyl explain` both derive their estimator seed
-    here, so an explained SAG is the one its distance was scored on.
+    The package's one seed derivation: training's classifier, background
+    and attribution seeds and `instance_attribution`'s per-instance seeds.
     """
-    return int(np.random.SeedSequence([seed, 0x6ED, index]).generate_state(1)[0])
+    return int(np.random.SeedSequence([seed, *parts]).generate_state(1)[0])
+
+
+_TAG_INSTANCE = 0x6ED  # role tag of per-instance attribution seeds; frozen
+
+
+def instance_attribution(
+    clf: MLPClassifier,
+    v: np.ndarray,
+    index: int,
+    kg: KnowledgeGraph,
+    background: BackgroundSet,
+    s: float,
+    mode: str,
+    num_coalition_samples: int,
+    seed: int,
+) -> tuple[np.ndarray, SAG]:
+    """Attributions and SAG of descriptor `v`, at `index` in its scored split.
+
+    The estimator seed is derived from `seed` and the index, so results do
+    not depend on evaluation order. `mean_shap_ged` and `xnesyl explain`
+    both come through here, so an explained SAG is the one its distance
+    was scored on.
+    """
+    index_seed = derive_seed(seed, _TAG_INSTANCE, index)
+    values = shap_matrix(clf, v, background, mode, num_coalition_samples, seed=index_seed)
+    return values, build_sag(kg, v, values, s)
 
 
 def mean_shap_ged(
-    det: PartDetector,
     clf: MLPClassifier,
-    instances: list[SceneInstance],
+    x: np.ndarray,
+    ids: list[str],
     kg: KnowledgeGraph,
     background: BackgroundSet,
-    aggregation: str = "frcnn",
     s: float = DETECTION_THRESHOLD,
     mode: str = "kernel",
     num_coalition_samples: int = 512,
@@ -234,25 +258,19 @@ def mean_shap_ged(
 ) -> tuple[float, dict[str, int]]:
     """Mean per-instance graph disagreement over a split.
 
-    Attributions are recomputed per instance with a seed derived from the
-    instance's position, so results are independent of evaluation order
-    or parallel scheduling. Returns (mean, per-instance distances).
+    `x` holds the split's descriptors, one row per id in `ids`. Returns
+    (mean, per-instance distances keyed by id).
     """
-    if not instances:
+    if not ids:
         raise ValidationError("cannot score an empty split")
+    if len(ids) != len(x):
+        raise ValidationError(f"{len(x)} descriptors for {len(ids)} instance ids")
     per_instance: dict[str, int] = {}
-    for index, inst in enumerate(instances):
-        v = aggregate(detect(det, inst), aggregation).values
-        values = shap_matrix(
-            clf,
-            v,
-            background,
-            mode,
-            num_coalition_samples,
-            seed=instance_seed(seed, index),
+    for index, (inst_id, v) in enumerate(zip(ids, x)):
+        _, sag = instance_attribution(
+            clf, v, index, kg, background, s, mode, num_coalition_samples, seed
         )
-        sag = build_sag(kg, v, values, s)
-        per_instance[inst.id] = shap_ged(sag, kg, one_sided)
+        per_instance[inst_id] = shap_ged(sag, kg, one_sided)
     mean = float(np.mean(list(per_instance.values())))
     return mean, per_instance
 

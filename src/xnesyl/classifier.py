@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .detector import log_softmax, softmax
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, read_json_object
 from .kg import KnowledgeGraph
 
 __all__ = [
@@ -202,12 +202,10 @@ def save_classifier(clf: MLPClassifier, path: str | Path) -> None:
 
 
 def load_classifier(path: str | Path) -> MLPClassifier:
-    p = Path(path)
-    if not p.exists():
-        raise ValidationError(f"classifier checkpoint not found: {p}")
-    doc = json.loads(p.read_text(encoding="utf-8"))
-    if doc.get("kind") != "mlp_classifier":
-        raise ValidationError(f"{p} is not a classifier checkpoint")
+    doc = read_json_object(
+        path, "classifier checkpoint", "mlp_classifier",
+        ("object_classes", "input_dim", "hidden_units", "w1", "b1", "w2", "b2"),
+    )
     clf = MLPClassifier(
         object_classes=tuple(doc["object_classes"]),
         w1=np.array(doc["w1"], dtype=np.float64),
@@ -216,5 +214,5 @@ def load_classifier(path: str | Path) -> MLPClassifier:
         b2=np.array(doc["b2"], dtype=np.float64),
     )
     if clf.w1.shape != (doc["hidden_units"], doc["input_dim"]):
-        raise ValidationError(f"{p}: weight shape inconsistent with recorded dimensions")
+        raise ValidationError(f"{path}: weight shape inconsistent with recorded dimensions")
     return clf

@@ -21,18 +21,19 @@ import os
 import sys
 from pathlib import Path
 
-from .alignment import WeightScheme, build_sag, instance_seed, sag_to_dot, sag_to_json
+from .alignment import SCHEME_KINDS, WeightScheme, instance_attribution, sag_to_dot, sag_to_json
 from .classifier import load_classifier, save_classifier
 from .datagen import GeneratorConfig, generate_dataset, read_dataset, split_dataset, write_dataset
-from .detector import aggregate, detect, load_detector, save_detector
-from .errors import NumericalError, ValidationError
+from .detector import load_detector, save_detector
+from .errors import NumericalError, ValidationError, read_json_object
 from .kg import KnowledgeGraph, load_kg
-from .shapley import shap_matrix, shap_summary, write_summary_csv
+from .shapley import shap_summary, write_summary_csv
 from .training import (
     RunArtifacts,
     TrainConfig,
     config_echo,
     config_from_echo,
+    descriptors,
     evaluate,
     metrics_report,
     rebuild_background,
@@ -41,12 +42,8 @@ from .training import (
     train_standard,
 )
 
-_SCHEME_FLAGS = {
-    "linear-bbox": "linear_bbox",
-    "exp-bbox": "exp_bbox",
-    "linear-instance": "linear_instance",
-    "exp-instance": "exp_instance",
-}
+_SCHEME_FLAGS = {kind.replace("_", "-"): kind for kind in SCHEME_KINDS}
+_REPORT_METRICS = ("part_macro_accuracy", "accuracy", "mean_shap_ged")
 
 
 def _render_json(doc: dict) -> str:
@@ -86,6 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--dim", type=int, default=8)
     gen.add_argument("--sep", type=float, default=6.0)
     gen.add_argument("--regions", default="2:6")
+    gen.set_defaults(func=_cmd_gen)
 
     train = sub.add_parser("train", help="train and evaluate a run")
     train.add_argument("--kg", required=True)
@@ -105,12 +103,14 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--shap-samples", type=int, default=512)
     train.add_argument("--bg-size", type=int, default=100)
     train.add_argument("--seed", type=int, default=None)
+    train.set_defaults(func=lambda args: _cmd_train(args, train))
 
     ev = sub.add_parser("eval", help="re-evaluate checkpoints on a dataset")
     ev.add_argument("--kg", required=True)
     ev.add_argument("--data", required=True)
     ev.add_argument("--checkpoints", required=True)
     ev.add_argument("--out", default=None)
+    ev.set_defaults(func=_cmd_eval)
 
     explain = sub.add_parser("explain", help="emit attribution graph artifacts for one instance")
     explain.add_argument("--kg", required=True)
@@ -118,10 +118,12 @@ def build_parser() -> argparse.ArgumentParser:
     explain.add_argument("--checkpoints", required=True)
     explain.add_argument("--instance-id", required=True)
     explain.add_argument("--out-dir", default=None)
+    explain.set_defaults(func=_cmd_explain)
 
     report = sub.add_parser("report", help="tabulate metrics across run directories")
     report.add_argument("--runs", required=True)
     report.add_argument("--out", default=None)
+    report.set_defaults(func=_cmd_report)
     return parser
 
 
@@ -156,10 +158,11 @@ def _load_run_dir(checkpoints: str, kg: KnowledgeGraph):
                 f"checkpoint {name} {list(saved)} differ from --kg {name} {list(expected)}"
             )
     report_path = cp / "metrics.json"
-    if not report_path.exists():
-        raise ValidationError(f"missing metrics report: {report_path}")
-    echo = json.loads(report_path.read_text(encoding="utf-8"))["config"]
-    return det, clf, config_from_echo(echo)
+    report = read_json_object(report_path, "metrics report", keys=("config",))
+    try:
+        return det, clf, config_from_echo(report["config"])
+    except ValidationError as exc:
+        raise ValidationError(f"{report_path}: {exc}") from exc
 
 
 def _cmd_train(args, parser: argparse.ArgumentParser) -> int:
@@ -234,10 +237,11 @@ def _cmd_explain(args) -> int:
     index, inst = located[0]
     det, clf, cfg = _load_run_dir(args.checkpoints, kg)
     background = rebuild_background(kg, det, splits[0], cfg)
-    v = aggregate(detect(det, inst), cfg.aggregation).values
-    seed = instance_seed(shap_eval_seed(cfg), index)
-    values = shap_matrix(clf, v, background, cfg.shap_mode, cfg.shap_samples, seed=seed)
-    sag = build_sag(kg, v, values, cfg.s)
+    v = descriptors(det, [inst], kg, cfg.aggregation)[0][0]
+    values, sag = instance_attribution(
+        clf, v, index, kg, background, cfg.s, cfg.shap_mode, cfg.shap_samples,
+        shap_eval_seed(cfg),
+    )
     out_dir = Path(args.out_dir) if args.out_dir else Path(args.checkpoints)
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = f"sag-{inst.id}"
@@ -261,23 +265,16 @@ def _cmd_report(args) -> int:
         report_path = run / "metrics.json"
         if not report_path.exists():
             continue
-        doc = json.loads(report_path.read_text(encoding="utf-8"))
-        cfg, metrics = doc["config"], doc["metrics"]
-        rows.append(
-            [
-                run.name,
-                cfg["mode"],
-                cfg["scheme"] or "",
-                repr(metrics["part_macro_accuracy"]),
-                repr(metrics["accuracy"]),
-                repr(metrics["mean_shap_ged"]),
-            ]
-        )
+        doc = read_json_object(report_path, "metrics report", keys=("config", "metrics"))
+        try:
+            cfg, metrics = doc["config"], doc["metrics"]
+            scores = [repr(metrics[name]) for name in _REPORT_METRICS]
+            rows.append([run.name, cfg["mode"], cfg["scheme"] or "", *scores])
+        except (KeyError, TypeError) as exc:
+            raise ValidationError(f"{report_path}: malformed metrics report: {exc!r}") from exc
     buffer = io.StringIO()
     writer = csv.writer(buffer)
-    writer.writerow(
-        ["run", "mode", "scheme", "part_macro_accuracy", "accuracy", "mean_shap_ged"]
-    )
+    writer.writerow(["run", "mode", "scheme", *_REPORT_METRICS])
     writer.writerows(rows)
     text = buffer.getvalue()
     if args.out:
@@ -287,20 +284,8 @@ def _cmd_report(args) -> int:
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "gen":
-        return _cmd_gen(args)
-    if args.command == "train":
-        return _cmd_train(args, parser)
-    if args.command == "eval":
-        return _cmd_eval(args)
-    if args.command == "explain":
-        return _cmd_explain(args)
-    if args.command == "report":
-        return _cmd_report(args)
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+    args = build_parser().parse_args(argv)
+    return args.func(args)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -226,7 +226,7 @@ def read_dataset(path: str | Path, kg: KnowledgeGraph | None = None) -> list[Sce
                     Region(r["part_class"], r["features"]) for r in doc["regions"]
                 )
                 inst = SceneInstance(doc["id"], doc["object_class"], regions)
-            except (KeyError, TypeError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise ValidationError(f"{p}:{lineno}: missing or malformed field: {exc}") from exc
             if kg is not None:
                 if inst.gt_object_class not in kg.object_classes:

@@ -19,13 +19,12 @@ from pathlib import Path
 import numpy as np
 
 from .datagen import SceneInstance
-from .errors import ValidationError
+from .errors import ValidationError, read_json_object
 from .kg import KnowledgeGraph
 
 __all__ = [
     "PartDetector",
     "DetectionSet",
-    "FeatureVector",
     "detect",
     "aggregate_frcnn",
     "aggregate_retina",
@@ -56,26 +55,12 @@ class PartDetector:
     part_classes: tuple[str, ...]
     weights: np.ndarray  # (n, d)
     bias: np.ndarray  # (n,)
-    learning_rate: float = 0.5
-    epochs: int = 10
 
     @classmethod
-    def create(
-        cls,
-        kg: KnowledgeGraph,
-        feature_dim: int,
-        learning_rate: float = 0.5,
-        epochs: int = 10,
-    ) -> "PartDetector":
+    def create(cls, kg: KnowledgeGraph, feature_dim: int) -> "PartDetector":
         # Zero init is exact and deterministic; the objective is convex.
         n = kg.num_parts
-        return cls(
-            part_classes=kg.part_classes,
-            weights=np.zeros((n, feature_dim)),
-            bias=np.zeros(n),
-            learning_rate=learning_rate,
-            epochs=epochs,
-        )
+        return cls(kg.part_classes, np.zeros((n, feature_dim)), np.zeros(n))
 
     @property
     def feature_dim(self) -> int:
@@ -97,13 +82,7 @@ class PartDetector:
         return softmax(features @ self.weights.T + self.bias)
 
     def copy(self) -> "PartDetector":
-        return PartDetector(
-            self.part_classes,
-            self.weights.copy(),
-            self.bias.copy(),
-            self.learning_rate,
-            self.epochs,
-        )
+        return PartDetector(self.part_classes, self.weights.copy(), self.bias.copy())
 
 
 @dataclass(frozen=True)
@@ -132,48 +111,28 @@ class DetectionSet:
         return np.argmax(self.probabilities, axis=1)
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """Aggregated per-part confidence descriptor of one instance.
-
-    `no_detections` flags the degenerate all-zero vector produced for an
-    empty detection set; downstream classification still runs on it.
-    """
-
-    values: np.ndarray
-    no_detections: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
-
-
 def detect(det: PartDetector, inst: SceneInstance) -> DetectionSet:
     """One probability vector per region, in region order."""
     features = np.stack([r.features for r in inst.regions])
     return DetectionSet(det.probabilities(features))
 
 
-def aggregate_frcnn(ds: DetectionSet) -> FeatureVector:
+def aggregate_frcnn(ds: DetectionSet) -> np.ndarray:
     """Sum of per-region vectors with non-maximal probabilities zeroed."""
     p = ds.probabilities
-    if p.shape[0] == 0:
-        return FeatureVector(np.zeros(p.shape[1]), no_detections=True)
     kept = np.zeros_like(p)
     rows = np.arange(p.shape[0])
     best = np.argmax(p, axis=1)
     kept[rows, best] = p[rows, best]
-    return FeatureVector(kept.sum(axis=0))
+    return kept.sum(axis=0)
 
 
-def aggregate_retina(ds: DetectionSet) -> FeatureVector:
+def aggregate_retina(ds: DetectionSet) -> np.ndarray:
     """Sum of the full per-region probability vectors; total mass equals M."""
-    p = ds.probabilities
-    if p.shape[0] == 0:
-        return FeatureVector(np.zeros(p.shape[1]), no_detections=True)
-    return FeatureVector(p.sum(axis=0))
+    return ds.probabilities.sum(axis=0)
 
 
-def aggregate(ds: DetectionSet, mode: str) -> FeatureVector:
+def aggregate(ds: DetectionSet, mode: str) -> np.ndarray:
     """Dispatch on aggregation mode ("frcnn" or "retina")."""
     if mode == "frcnn":
         return aggregate_frcnn(ds)
@@ -230,6 +189,7 @@ def train_detector_epoch(
     region_weights: dict[str, np.ndarray] | None = None,
     batch_size: int = 32,
     rng: np.random.Generator | None = None,
+    learning_rate: float = 0.5,
 ) -> tuple[PartDetector, float]:
     """One full pass of mini-batch gradient descent over the dataset.
 
@@ -260,7 +220,7 @@ def train_detector_epoch(
             grad_b += gb
             total_loss += loss
             batch_regions += len(inst.regions)
-        scale = updated.learning_rate / batch_regions
+        scale = learning_rate / batch_regions
         updated.weights -= scale * grad_w
         updated.bias -= scale * grad_b
         total_regions += batch_regions
@@ -274,26 +234,20 @@ def save_detector(det: PartDetector, path: str | Path) -> None:
         "feature_dim": det.feature_dim,
         "weights": det.weights.tolist(),
         "bias": det.bias.tolist(),
-        "learning_rate": det.learning_rate,
-        "epochs": det.epochs,
     }
     Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
 def load_detector(path: str | Path) -> PartDetector:
-    p = Path(path)
-    if not p.exists():
-        raise ValidationError(f"detector checkpoint not found: {p}")
-    doc = json.loads(p.read_text(encoding="utf-8"))
-    if doc.get("kind") != "part_detector":
-        raise ValidationError(f"{p} is not a part detector checkpoint")
+    doc = read_json_object(
+        path, "part detector checkpoint", "part_detector",
+        ("part_classes", "feature_dim", "weights", "bias"),
+    )
     det = PartDetector(
         part_classes=tuple(doc["part_classes"]),
         weights=np.array(doc["weights"], dtype=np.float64),
         bias=np.array(doc["bias"], dtype=np.float64),
-        learning_rate=float(doc["learning_rate"]),
-        epochs=int(doc["epochs"]),
     )
     if det.weights.shape != (len(det.part_classes), doc["feature_dim"]):
-        raise ValidationError(f"{p}: weight shape inconsistent with recorded dimensions")
+        raise ValidationError(f"{path}: weight shape inconsistent with recorded dimensions")
     return det

@@ -274,18 +274,13 @@ def _layered_game_values(
     return np.concatenate(out_blocks, axis=0)
 
 
-def _check_exact_inputs(x: np.ndarray, bg: BackgroundSet) -> np.ndarray:
+def _check_inputs(x: np.ndarray, bg: BackgroundSet) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ValidationError("descriptor must be a flat vector")
     if bg.num_features != x.shape[0]:
         raise ValidationError(
             f"background has {bg.num_features} features, descriptor has {x.shape[0]}"
-        )
-    if x.shape[0] > EXACT_MAX_FEATURES:
-        raise ValidationError(
-            f"exact enumeration refuses n={x.shape[0]} > {EXACT_MAX_FEATURES} features; "
-            "use kernel_shap instead"
         )
     return x
 
@@ -300,8 +295,13 @@ def exact_shap_matrix(model: Model, x: np.ndarray, bg: BackgroundSet) -> np.ndar
     live pattern share one reduced game, evaluated on their rows together
     and weighted by their share of the background.
     """
-    x = _check_exact_inputs(x, bg)
+    x = _check_inputs(x, bg)
     n = x.shape[0]
+    if n > EXACT_MAX_FEATURES:
+        raise ValidationError(
+            f"exact enumeration refuses n={n} > {EXACT_MAX_FEATURES} features; "
+            "use kernel_shap instead"
+        )
     layered = _is_layered(model)
     patterns, group = np.unique(x[None, :] != bg.vectors, axis=0, return_inverse=True)
     shap = None
@@ -356,8 +356,7 @@ def _sample_masks(
 
 
 def _enumerate_proper_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
-    ints = np.arange(1, (1 << n) - 1, dtype=np.int64)
-    masks = ((ints[:, None] >> np.arange(n)) & 1).astype(bool)
+    masks = _all_masks(n)[1:-1]
     # one weight per coalition size 1 .. n-1, read by popcount
     per_size = np.array([_kernel_weight(n, size) for size in range(1, n)])
     return masks, per_size[masks.sum(axis=1) - 1]
@@ -404,14 +403,8 @@ def kernel_shap_matrix(
     seed: int,
 ) -> np.ndarray:
     """Kernel estimates for every model output at once; (m, n)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValidationError("descriptor must be a flat vector")
+    x = _check_inputs(x, bg)
     n = x.shape[0]
-    if bg.num_features != n:
-        raise ValidationError(
-            f"background has {bg.num_features} features, descriptor has {n}"
-        )
     if num_coalition_samples < 2 * n:
         raise ValidationError(
             f"need at least 2n = {2 * n} coalition samples, got {num_coalition_samples}"

@@ -18,12 +18,12 @@ with all multipliers at 1 reproduces the standard procedure bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import alignment
-from .alignment import WeightScheme, mean_shap_ged, region_weights
+from .alignment import WeightScheme, derive_seed, mean_shap_ged, region_weights
 from .classifier import MLPClassifier, accuracy, train_classifier
 from .datagen import SceneInstance
 from .detector import PartDetector, aggregate, detect, train_detector_epoch
@@ -37,6 +37,7 @@ __all__ = [
     "train_standard",
     "train_shap_backprop",
     "evaluate",
+    "descriptors",
     "shap_eval_seed",
     "config_echo",
     "config_from_echo",
@@ -49,10 +50,6 @@ _TAG_CLF = 2
 _TAG_BG = 3
 _TAG_SHAP_TRAIN = 4
 _TAG_SHAP_EVAL = 5
-
-
-def _derived_int(seed: int, *parts: int) -> int:
-    return int(np.random.SeedSequence([seed, *parts]).generate_state(1)[0])
 
 
 def _derived_rng(seed: int, *parts: int) -> np.random.Generator:
@@ -102,14 +99,18 @@ class RunArtifacts:
     ged_per_instance: dict[str, int] = field(default_factory=dict)
 
 
-def _descriptors(
+def descriptors(
     det: PartDetector, instances: list[SceneInstance], kg: KnowledgeGraph, mode: str
-) -> tuple[np.ndarray, np.ndarray, list]:
-    """Aggregated descriptors, object labels, and raw detections per instance."""
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """The one inference pass over a split, detecting each instance once.
+
+    Returns the aggregated descriptors (N, n), the object labels (N,) and
+    each instance's predicted part index per region.
+    """
     detections = [detect(det, inst) for inst in instances]
-    x = np.stack([aggregate(ds, mode).values for ds in detections])
+    x = np.stack([aggregate(ds, mode) for ds in detections])
     y = np.array([kg.object_index(inst.gt_object_class) for inst in instances])
-    return x, y, detections
+    return x, y, [ds.predicted_parts() for ds in detections]
 
 
 def _detector_epoch_at(
@@ -126,6 +127,7 @@ def _detector_epoch_at(
         weights,
         batch_size=cfg.batch_size,
         rng=_derived_rng(cfg.seed, _TAG_BATCH, epoch),
+        learning_rate=cfg.lr_det,
     )
     params = (det.weights, det.bias)
     if not (np.isfinite(det_loss) and all(np.all(np.isfinite(p)) for p in params)):
@@ -136,7 +138,7 @@ def _detector_epoch_at(
 def _train_classifier_at(
     kg: KnowledgeGraph, x: np.ndarray, y: np.ndarray, cfg: TrainConfig, epoch: int
 ) -> MLPClassifier:
-    clf_seed = _derived_int(cfg.seed, _TAG_CLF, epoch)
+    clf_seed = derive_seed(cfg.seed, _TAG_CLF, epoch)
     clf = MLPClassifier.create(kg, hidden=cfg.hidden_units, seed=clf_seed)
     return train_classifier(
         clf, x, y, cfg.epochs_clf, cfg.lr_clf, seed=clf_seed, batch_size=cfg.batch_size
@@ -145,7 +147,7 @@ def _train_classifier_at(
 
 def _background_at(x_train: np.ndarray, cfg: TrainConfig, epoch: int) -> BackgroundSet:
     return BackgroundSet.sample(
-        x_train, cfg.background_size, _derived_int(cfg.seed, _TAG_BG, epoch)
+        x_train, cfg.background_size, derive_seed(cfg.seed, _TAG_BG, epoch)
     )
 
 
@@ -162,16 +164,14 @@ def train_standard(
     train_split, _, test_split = splits
     if not train_split:
         raise ValidationError("training split is empty")
-    det = PartDetector.create(
-        kg, train_split[0].regions[0].features.shape[0], cfg.lr_det, cfg.epochs_det
-    )
+    det = PartDetector.create(kg, train_split[0].regions[0].features.shape[0])
     per_epoch: list[dict] = []
     for epoch in range(1, cfg.epochs_det + 1):
         det, det_loss = _detector_epoch_at(det, train_split, None, cfg, epoch)
         per_epoch.append(
             {"epoch": epoch, "det_loss": det_loss, "alpha_mean": 1.0, "alpha_max": 1.0}
         )
-    x_train, y_train, _ = _descriptors(det, train_split, kg, cfg.aggregation)
+    x_train, y_train, _ = descriptors(det, train_split, kg, cfg.aggregation)
     clf = _train_classifier_at(kg, x_train, y_train, cfg, cfg.epochs_det)
     background = _background_at(x_train, cfg, cfg.epochs_det)
     artifacts = RunArtifacts(det, clf, {}, per_epoch, cfg, background)
@@ -195,16 +195,14 @@ def train_shap_backprop(
     if not train_split:
         raise ValidationError("training split is empty")
     kg_matrix = attribution_matrix(kg)
-    det = PartDetector.create(
-        kg, train_split[0].regions[0].features.shape[0], cfg.lr_det, cfg.epochs_det
-    )
+    det = PartDetector.create(kg, train_split[0].regions[0].features.shape[0])
     weights: dict[str, np.ndarray] = {}
     per_epoch: list[dict] = []
     clf: MLPClassifier | None = None
     background: BackgroundSet | None = None
     for epoch in range(1, cfg.epochs_det + 1):
         det, det_loss = _detector_epoch_at(det, train_split, weights or None, cfg, epoch)
-        x_train, y_train, detections = _descriptors(det, train_split, kg, cfg.aggregation)
+        x_train, y_train, predicted = descriptors(det, train_split, kg, cfg.aggregation)
         clf = _train_classifier_at(kg, x_train, y_train, cfg, epoch)
         background = _background_at(x_train, cfg, epoch)
         weights = {}
@@ -217,14 +215,14 @@ def train_shap_backprop(
                 x_train[index],
                 background,
                 cfg.shap_samples,
-                seed=_derived_int(cfg.seed, _TAG_SHAP_TRAIN, epoch, index),
+                seed=derive_seed(cfg.seed, _TAG_SHAP_TRAIN, epoch, index),
             )
             k = kg.object_index(inst.gt_object_class)
             weights[inst.id] = region_weights(
                 shap_values[k],
                 kg_matrix[k],
                 x_train[index],
-                detections[index].predicted_parts(),
+                predicted[index],
                 cfg.scheme,
                 cfg.v_threshold,
             )
@@ -244,14 +242,16 @@ def train_shap_backprop(
 
 
 def part_macro_accuracy(
-    det: PartDetector, instances: list[SceneInstance], kg: KnowledgeGraph
+    predicted: list[np.ndarray], instances: list[SceneInstance], kg: KnowledgeGraph
 ) -> float:
-    """Mean over part classes (with test support) of per-class region accuracy."""
+    """Mean over part classes (with test support) of per-class region accuracy.
+
+    `predicted` holds each instance's predicted part index per region.
+    """
     correct = np.zeros(kg.num_parts)
     totals = np.zeros(kg.num_parts)
-    for inst in instances:
-        predicted = detect(det, inst).predicted_parts()
-        for region, pred in zip(inst.regions, predicted):
+    for inst, parts in zip(instances, predicted):
+        for region, pred in zip(inst.regions, parts):
             j = kg.part_index(region.gt_part_class)
             totals[j] += 1
             correct[j] += float(pred == j)
@@ -262,8 +262,8 @@ def part_macro_accuracy(
 
 
 def shap_eval_seed(cfg: TrainConfig) -> int:
-    """Base seed of test-split attributions; see `alignment.instance_seed`."""
-    return _derived_int(cfg.seed, _TAG_SHAP_EVAL)
+    """Base seed of test-split attributions; see `alignment.instance_attribution`."""
+    return derive_seed(cfg.seed, _TAG_SHAP_EVAL)
 
 
 def evaluate(
@@ -273,14 +273,13 @@ def evaluate(
     if not test_split:
         raise ValidationError("test split is empty")
     cfg = artifacts.config
-    x_test, y_test, _ = _descriptors(artifacts.detector, test_split, kg, cfg.aggregation)
+    x_test, y_test, predicted = descriptors(artifacts.detector, test_split, kg, cfg.aggregation)
     ged_mean, ged_per_instance = mean_shap_ged(
-        artifacts.detector,
         artifacts.classifier,
-        test_split,
+        x_test,
+        [inst.id for inst in test_split],
         kg,
         artifacts.background,
-        aggregation=cfg.aggregation,
         s=cfg.s,
         mode=cfg.shap_mode,
         num_coalition_samples=cfg.shap_samples,
@@ -288,53 +287,38 @@ def evaluate(
     )
     artifacts.ged_per_instance = ged_per_instance
     return {
-        "part_macro_accuracy": part_macro_accuracy(artifacts.detector, test_split, kg),
+        "part_macro_accuracy": part_macro_accuracy(predicted, test_split, kg),
         "accuracy": accuracy(artifacts.classifier, x_test, y_test),
         "mean_shap_ged": ged_mean,
     }
 
 
+# (name, type) of each TrainConfig field but `scheme`, which the echo spells as mode, scheme, h
+_ECHO_FIELDS = tuple(
+    (f.name, {"int": int, "float": float, "str": str}[f.type])
+    for f in fields(TrainConfig)
+    if f.name != "scheme"
+)
+
+
 def config_echo(cfg: TrainConfig) -> dict:
-    return {
-        "seed": cfg.seed,
-        "mode": "standard" if cfg.scheme is None else "shap-backprop",
-        "scheme": None if cfg.scheme is None else cfg.scheme.kind,
-        "h": 1.0 if cfg.scheme is None else cfg.scheme.h,
-        "epochs_det": cfg.epochs_det,
-        "epochs_clf": cfg.epochs_clf,
-        "lr_det": cfg.lr_det,
-        "lr_clf": cfg.lr_clf,
-        "s": cfg.s,
-        "v_threshold": cfg.v_threshold,
-        "background_size": cfg.background_size,
-        "shap_mode": cfg.shap_mode,
-        "shap_samples": cfg.shap_samples,
-        "aggregation": cfg.aggregation,
-        "batch_size": cfg.batch_size,
-        "hidden_units": cfg.hidden_units,
-    }
+    echo = {name: getattr(cfg, name) for name, _ in _ECHO_FIELDS}
+    echo["mode"] = "standard" if cfg.scheme is None else "shap-backprop"
+    echo["scheme"] = None if cfg.scheme is None else cfg.scheme.kind
+    echo["h"] = 1.0 if cfg.scheme is None else cfg.scheme.h
+    return echo
 
 
 def config_from_echo(echo: dict) -> TrainConfig:
-    scheme = None
-    if echo.get("scheme"):
-        scheme = WeightScheme(echo["scheme"], float(echo.get("h", 1.0)))
-    return TrainConfig(
-        seed=int(echo["seed"]),
-        epochs_det=int(echo["epochs_det"]),
-        epochs_clf=int(echo["epochs_clf"]),
-        lr_det=float(echo["lr_det"]),
-        lr_clf=float(echo["lr_clf"]),
-        scheme=scheme,
-        s=float(echo["s"]),
-        v_threshold=float(echo["v_threshold"]),
-        background_size=int(echo["background_size"]),
-        shap_mode=echo["shap_mode"],
-        shap_samples=int(echo["shap_samples"]),
-        aggregation=echo["aggregation"],
-        batch_size=int(echo["batch_size"]),
-        hidden_units=int(echo["hidden_units"]),
-    )
+    """Inverse of `config_echo`; a missing or ill-typed field is a ValidationError."""
+    try:
+        scheme = None
+        if echo.get("scheme"):
+            scheme = WeightScheme(echo["scheme"], float(echo.get("h", 1.0)))
+        values = {name: cast(echo[name]) for name, cast in _ECHO_FIELDS}
+        return TrainConfig(scheme=scheme, **values)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed run configuration: {exc!r}") from exc
 
 
 def metrics_report(artifacts: RunArtifacts) -> dict:
@@ -356,5 +340,5 @@ def rebuild_background(
     Matches the background a fresh run with this config would use, so an
     external re-evaluation reproduces the training-time metrics exactly.
     """
-    x_train, _, _ = _descriptors(det, train_split, kg, cfg.aggregation)
+    x_train, _, _ = descriptors(det, train_split, kg, cfg.aggregation)
     return _background_at(x_train, cfg, cfg.epochs_det)

@@ -335,7 +335,7 @@ def test_criterion_9_deterministic_baseline(e1_run, tmp_path):
         one_hot = np.zeros((len(inst.regions), kg.num_parts))
         for row, region in enumerate(inst.regions):
             one_hot[row, kg.part_index(region.gt_part_class)] = 1.0
-        v = aggregate_frcnn(DetectionSet(one_hot)).values
+        v = aggregate_frcnn(DetectionSet(one_hot))
         result = deterministic_classify(kg, v)
         correct += result.object_class == inst.gt_object_class
     acc = correct / len(test_split)
@@ -355,7 +355,7 @@ def test_criterion_10_aggregation_equivalence():
         probs = np.zeros((m, n))
         probs[np.arange(m), rng.integers(0, n, size=m)] = 1.0
         ds = DetectionSet(probs)
-        if not np.array_equal(aggregate_frcnn(ds).values, aggregate_retina(ds).values):
+        if not np.array_equal(aggregate_frcnn(ds), aggregate_retina(ds)):
             mismatches += 1
     report(
         "10 aggregation-equivalence",

@@ -228,33 +228,34 @@ class TestMeanShapGed:
         # graph is empty and the mean distance is exactly 0
         from xnesyl.classifier import MLPClassifier
         from xnesyl.datagen import GeneratorConfig, generate_dataset
-        from xnesyl.detector import PartDetector
+        from xnesyl.detector import PartDetector, aggregate, detect
         from xnesyl.shapley import BackgroundSet
         from xnesyl.alignment import mean_shap_ged
 
         kg = monumai
         instances = generate_dataset(kg, GeneratorConfig(seed=31), 12)
         det = PartDetector.create(kg, 8)
+        x = np.stack([aggregate(detect(det, inst), "frcnn") for inst in instances])
+        ids = [inst.id for inst in instances]
         clf = MLPClassifier.create(kg, seed=0)
         clf.w1[:] = 0.0
         clf.w2[:] = 0.0
         bg = BackgroundSet(np.ones((4, kg.num_parts)))
         mean, per_instance = mean_shap_ged(
-            det, clf, instances, kg, bg, mode="exact", num_coalition_samples=64, seed=0
+            clf, x, ids, kg, bg, mode="exact", num_coalition_samples=64, seed=0
         )
         assert mean == 0.0
         assert set(per_instance.values()) == {0}
 
     def test_empty_split_rejected(self, monumai):
         from xnesyl.classifier import MLPClassifier
-        from xnesyl.detector import PartDetector
         from xnesyl.shapley import BackgroundSet
         from xnesyl.alignment import mean_shap_ged
 
         with pytest.raises(ValidationError, match="empty"):
             mean_shap_ged(
-                PartDetector.create(monumai, 8),
                 MLPClassifier.create(monumai, seed=0),
+                np.zeros((0, monumai.num_parts)),
                 [],
                 monumai,
                 BackgroundSet(np.ones((2, monumai.num_parts))),

@@ -2,6 +2,7 @@
 
 import json
 import re
+import shutil
 
 import numpy as np
 import pytest
@@ -191,12 +192,45 @@ class TestEval:
         assert first == second
 
 
+class TestMalformedRunDir:
+    # None stands for the trained classifier checkpoint with its "w1" removed
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("metrics.json", "{not json"),
+            ("metrics.json", '{"config": {"seed": 1}}'),
+            ("metrics.json", "[1]"),
+            ("detector.json", "{bad"),
+            ("detector.json", '{"kind": "part_detector"}'),
+            ("classifier.json", None),
+        ],
+        ids=[
+            "metrics-not-json", "metrics-partial-config", "metrics-list",
+            "detector-not-json", "detector-kind-only", "classifier-without-w1",
+        ],
+    )
+    def test_eval_exits_3(self, kg_path, run_dir, tmp_path, capsys, name, text):
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(run_dir["out"], ckpt)
+        if text is None:
+            doc = json.loads((ckpt / name).read_text())
+            del doc["w1"]
+            text = json.dumps(doc)
+        (ckpt / name).write_text(text, encoding="utf-8")
+        code = main([
+            "eval", "--kg", kg_path, "--data", run_dir["data"], "--checkpoints", str(ckpt),
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert name in err and "Traceback" not in err
+
+
 class TestExplain:
     def test_dot_edges_match_builder(self, kg_path, run_dir, capsys):
         from xnesyl.alignment import build_sag
         from xnesyl.classifier import load_classifier
         from xnesyl.detector import aggregate, detect, load_detector
-        from xnesyl.alignment import instance_seed
+        from xnesyl.alignment import _TAG_INSTANCE, derive_seed
         from xnesyl.shapley import shap_matrix
         from xnesyl.training import config_from_echo, rebuild_background, shap_eval_seed
         from xnesyl.datagen import split_dataset
@@ -218,14 +252,14 @@ class TestExplain:
         cfg = config_from_echo(echo)
         splits = split_dataset(dataset)
         background = rebuild_background(kg, det, splits[0], cfg)
-        v = aggregate(detect(det, inst), cfg.aggregation).values
+        v = aggregate(detect(det, inst), cfg.aggregation)
         # seeded by the instance's position in its own split
         index = next(
             i for split in splits for i, other in enumerate(split) if other.id == inst.id
         )
         values = shap_matrix(
             clf.predict_proba, v, background, cfg.shap_mode, cfg.shap_samples,
-            seed=instance_seed(shap_eval_seed(cfg), index),
+            seed=derive_seed(shap_eval_seed(cfg), _TAG_INSTANCE, index),
         )
         expected = build_sag(kg, v, values, cfg.s)
         assert parsed == expected.edges
@@ -315,6 +349,14 @@ class TestReport:
         assert lines[1].startswith("run-a,standard,")
         metrics = json.loads(source)["metrics"]
         assert repr(metrics["accuracy"]) in lines[1]
+
+    def test_unreadable_metrics_exits_3(self, tmp_path, capsys):
+        run = tmp_path / "runs" / "run-a"
+        run.mkdir(parents=True)
+        (run / "metrics.json").write_text("{not json", encoding="utf-8")
+        assert main(["report", "--runs", str(tmp_path / "runs")]) == 3
+        err = capsys.readouterr().err
+        assert "metrics.json" in err and "Traceback" not in err
 
     def test_missing_runs_dir(self, tmp_path):
         assert main(["report", "--runs", str(tmp_path / "none")]) == 3

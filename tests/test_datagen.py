@@ -141,6 +141,16 @@ class TestRoundTrip:
         with pytest.raises(ValidationError, match="1: malformed JSON"):
             read_dataset(path)
 
+    def test_non_numeric_features_report_line(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(
+            '{"id": "i0", "object_class": "Gothic", '
+            '"regions": [{"part_class": "pointed arch", "features": ["a", 1.0]}]}\n',
+            encoding="utf-8",
+        )
+        with pytest.raises(ValidationError, match="bad.jsonl:1: missing or malformed field"):
+            read_dataset(path)
+
 
 class TestSplit:
     def test_exact_proportions(self, monumai):

@@ -63,10 +63,10 @@ class TestDetect:
         cfg = GeneratorConfig(seed=21, feature_dim=8, noise_rate=0.0, separation=6.0)
         data = generate_dataset(monumai, cfg, 400)
         train, _, test = split_dataset(data)
-        det = PartDetector.create(monumai, 8, learning_rate=0.5)
+        det = PartDetector.create(monumai, 8)
         for epoch in range(1, 9):
             det, _ = train_detector_epoch(
-                det, train, rng=np.random.default_rng(epoch)
+                det, train, rng=np.random.default_rng(epoch), learning_rate=0.5
             )
         correct = total = 0
         for inst in test:
@@ -81,20 +81,19 @@ class TestAggregation:
     def test_frcnn_two_regions_same_argmax(self):
         ds = DetectionSet(np.array([[0.6, 0.3, 0.1], [0.7, 0.2, 0.1]]))
         v = aggregate_frcnn(ds)
-        np.testing.assert_allclose(v.values, [1.3, 0.0, 0.0])
-        assert not v.no_detections
+        np.testing.assert_allclose(v, [1.3, 0.0, 0.0])
 
     def test_frcnn_zeroes_non_max(self):
         ds = DetectionSet(np.array([[0.5, 0.3, 0.2]]))
-        np.testing.assert_allclose(aggregate_frcnn(ds).values, [0.5, 0.0, 0.0])
+        np.testing.assert_allclose(aggregate_frcnn(ds), [0.5, 0.0, 0.0])
 
     def test_one_hot_identity(self):
         ds = DetectionSet(np.array([[0.0, 1.0, 0.0]]))
-        np.testing.assert_allclose(aggregate_frcnn(ds).values, [0.0, 1.0, 0.0])
+        np.testing.assert_allclose(aggregate_frcnn(ds), [0.0, 1.0, 0.0])
 
     def test_retina_keeps_full_vector(self):
         ds = DetectionSet(np.array([[0.5, 0.3, 0.2]]))
-        np.testing.assert_allclose(aggregate_retina(ds).values, [0.5, 0.3, 0.2])
+        np.testing.assert_allclose(aggregate_retina(ds), [0.5, 0.3, 0.2])
 
     def test_retina_mass_equals_region_count(self):
         rng = np.random.default_rng(5)
@@ -102,14 +101,14 @@ class TestAggregation:
             m = rng.integers(1, 7)
             p = rng.dirichlet(np.ones(6), size=m)
             v = aggregate_retina(DetectionSet(p))
-            assert v.values.sum() == pytest.approx(m, abs=1e-9)
+            assert v.sum() == pytest.approx(m, abs=1e-9)
 
     def test_frcnn_mass_at_most_region_count(self):
         rng = np.random.default_rng(6)
         for _ in range(30):
             m = int(rng.integers(1, 7))
             p = rng.dirichlet(np.ones(6), size=m)
-            assert aggregate_frcnn(DetectionSet(p)).values.sum() <= m + 1e-9
+            assert aggregate_frcnn(DetectionSet(p)).sum() <= m + 1e-9
 
     def test_modes_coincide_on_one_hot(self):
         rng = np.random.default_rng(7)
@@ -119,15 +118,13 @@ class TestAggregation:
             p[np.arange(m), rng.integers(0, n, size=m)] = 1.0
             ds = DetectionSet(p)
             np.testing.assert_array_equal(
-                aggregate_frcnn(ds).values, aggregate_retina(ds).values
+                aggregate_frcnn(ds), aggregate_retina(ds)
             )
 
     def test_empty_detection_set_flagged(self):
         ds = DetectionSet(np.zeros((0, 5)))
         for agg in (aggregate_frcnn, aggregate_retina):
-            v = agg(ds)
-            assert v.no_detections
-            np.testing.assert_array_equal(v.values, np.zeros(5))
+            np.testing.assert_array_equal(agg(ds), np.zeros(5))
 
     def test_rows_must_be_probability_vectors(self):
         with pytest.raises(ValidationError, match="probability"):

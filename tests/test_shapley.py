@@ -565,7 +565,7 @@ def test_typical_parts_dominate_ranking_on_trained_model(monumai):
     artifacts = train_standard(kg, splits, cfg)
     test_split = splits[2][:40]
     descriptors = np.stack(
-        [aggregate(detect(artifacts.detector, inst), "frcnn").values for inst in test_split]
+        [aggregate(detect(artifacts.detector, inst), "frcnn") for inst in test_split]
     )
     values = np.stack(
         [

@@ -6,6 +6,7 @@ import pytest
 from xnesyl import training as training_module
 from xnesyl.alignment import WeightScheme
 from xnesyl.datagen import GeneratorConfig, generate_dataset, split_dataset
+from xnesyl.detector import PartDetector
 from xnesyl.errors import ValidationError
 from xnesyl.kg import monumai_kg
 from xnesyl.training import (
@@ -162,6 +163,32 @@ class TestEvaluate:
         assert set(artifacts.ged_per_instance) == {i.id for i in splits[2]}
 
 
+class TestDetectionPasses:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        probabilities = PartDetector.probabilities
+
+        def counted(det, features):
+            calls.append(1)
+            return probabilities(det, features)
+
+        monkeypatch.setattr(PartDetector, "probabilities", counted)
+        return calls
+
+    def test_train_standard_detects_each_instance_once(self, small_splits, calls):
+        kg, splits = small_splits
+        train_standard(kg, splits, TrainConfig(seed=15, **FAST))
+        assert len(calls) == len(splits[0]) + len(splits[2])
+
+    def test_evaluate_detects_each_test_instance_once(self, small_splits, calls):
+        kg, splits = small_splits
+        artifacts = train_standard(kg, splits, TrainConfig(seed=15, **FAST))
+        calls.clear()
+        evaluate(artifacts, splits[2], kg)
+        assert len(calls) == len(splits[2])
+
+
 class TestConfigEcho:
     def test_round_trip(self):
         cfg = TrainConfig(
@@ -179,6 +206,13 @@ class TestConfigEcho:
         echo = config_echo(cfg)
         assert echo["mode"] == "standard"
         assert config_from_echo(echo) == cfg
+
+    @pytest.mark.parametrize(
+        "echo", [{"seed": 1}, [1], {**config_echo(TrainConfig(seed=0)), "seed": "x"}]
+    )
+    def test_malformed_echo_rejected(self, echo):
+        with pytest.raises(ValidationError, match="malformed run configuration"):
+            config_from_echo(echo)
 
     def test_report_structure(self, small_splits):
         kg, splits = small_splits
