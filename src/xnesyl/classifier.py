@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .detector import log_softmax, softmax
-from .errors import NumericalError, ValidationError, read_json_object
+from .errors import NumericalError, ValidationError, read_json_array, read_json_object
 from .kg import KnowledgeGraph
 
 __all__ = [
@@ -55,10 +55,6 @@ class MLPClassifier:
     @property
     def input_dim(self) -> int:
         return self.w1.shape[1]
-
-    @property
-    def num_classes(self) -> int:
-        return self.w2.shape[0]
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         """(B, n) descriptor rows to (B, m) class probability rows."""
@@ -206,13 +202,11 @@ def load_classifier(path: str | Path) -> MLPClassifier:
         path, "classifier checkpoint", "mlp_classifier",
         ("object_classes", "input_dim", "hidden_units", "w1", "b1", "w2", "b2"),
     )
-    clf = MLPClassifier(
+    hidden, m = doc["hidden_units"], len(doc["object_classes"])
+    return MLPClassifier(
         object_classes=tuple(doc["object_classes"]),
-        w1=np.array(doc["w1"], dtype=np.float64),
-        b1=np.array(doc["b1"], dtype=np.float64),
-        w2=np.array(doc["w2"], dtype=np.float64),
-        b2=np.array(doc["b2"], dtype=np.float64),
+        w1=read_json_array(path, doc, "w1", (hidden, doc["input_dim"])),
+        b1=read_json_array(path, doc, "b1", (hidden,)),
+        w2=read_json_array(path, doc, "w2", (m, hidden)),
+        b2=read_json_array(path, doc, "b2", (m,)),
     )
-    if clf.w1.shape != (doc["hidden_units"], doc["input_dim"]):
-        raise ValidationError(f"{path}: weight shape inconsistent with recorded dimensions")
-    return clf

@@ -25,9 +25,9 @@ from .alignment import SCHEME_KINDS, WeightScheme, instance_attribution, sag_to_
 from .classifier import load_classifier, save_classifier
 from .datagen import GeneratorConfig, generate_dataset, read_dataset, split_dataset, write_dataset
 from .detector import load_detector, save_detector
-from .errors import NumericalError, ValidationError, read_json_object
+from .errors import NumericalError, ValidationError, read_json_array, read_json_object
 from .kg import KnowledgeGraph, load_kg
-from .shapley import shap_summary, write_summary_csv
+from .shapley import BackgroundSet, shap_summary, write_summary_csv
 from .training import (
     RunArtifacts,
     TrainConfig,
@@ -36,7 +36,6 @@ from .training import (
     descriptors,
     evaluate,
     metrics_report,
-    rebuild_background,
     shap_eval_seed,
     train_shap_backprop,
     train_standard,
@@ -143,7 +142,7 @@ def _cmd_gen(args) -> int:
 
 
 def _load_run_dir(checkpoints: str, kg: KnowledgeGraph):
-    """Checkpoints and config of a run, checked against the KG scoring them."""
+    """Checkpoints, background and config of a run, checked against the KG scoring them."""
     cp = Path(checkpoints)
     det = load_detector(cp / "detector.json")
     clf = load_classifier(cp / "classifier.json")
@@ -157,10 +156,15 @@ def _load_run_dir(checkpoints: str, kg: KnowledgeGraph):
             raise ValidationError(
                 f"checkpoint {name} {list(saved)} differ from --kg {name} {list(expected)}"
             )
+    bg_path = cp / "background.json"
+    if not bg_path.exists():
+        raise ValidationError(f"{bg_path} not found; re-train the run to write it")
+    bg_doc = read_json_object(bg_path, "attribution background", "background", ("vectors",))
+    background = BackgroundSet(read_json_array(bg_path, bg_doc, "vectors", (None, kg.num_parts)))
     report_path = cp / "metrics.json"
     report = read_json_object(report_path, "metrics report", keys=("config",))
     try:
-        return det, clf, config_from_echo(report["config"])
+        return det, clf, background, config_from_echo(report["config"])
     except ValidationError as exc:
         raise ValidationError(f"{report_path}: {exc}") from exc
 
@@ -196,6 +200,8 @@ def _cmd_train(args, parser: argparse.ArgumentParser) -> int:
     out.mkdir(parents=True, exist_ok=True)
     save_detector(artifacts.detector, out / "detector.json")
     save_classifier(artifacts.classifier, out / "classifier.json")
+    background = {"kind": "background", "vectors": artifacts.background.vectors.tolist()}
+    (out / "background.json").write_text(json.dumps(background) + "\n", encoding="utf-8")
     (out / "metrics.json").write_text(
         _render_json(metrics_report(artifacts)), encoding="utf-8"
     )
@@ -208,10 +214,8 @@ def _cmd_train(args, parser: argparse.ArgumentParser) -> int:
 
 def _cmd_eval(args) -> int:
     kg = load_kg(args.kg)
-    dataset = read_dataset(args.data, kg)
-    train_split, _, test_split = split_dataset(dataset)
-    det, clf, cfg = _load_run_dir(args.checkpoints, kg)
-    background = rebuild_background(kg, det, train_split, cfg)
+    test_split = split_dataset(read_dataset(args.data, kg))[2]
+    det, clf, background, cfg = _load_run_dir(args.checkpoints, kg)
     artifacts = RunArtifacts(det, clf, {}, [], cfg, background)
     metrics = evaluate(artifacts, test_split, kg)
     rendered = _render_json({"config": config_echo(cfg), "metrics": metrics})
@@ -235,8 +239,7 @@ def _cmd_explain(args) -> int:
     if not located:
         raise ValidationError(f"--instance-id {args.instance_id!r} not found in {args.data}")
     index, inst = located[0]
-    det, clf, cfg = _load_run_dir(args.checkpoints, kg)
-    background = rebuild_background(kg, det, splits[0], cfg)
+    det, clf, background, cfg = _load_run_dir(args.checkpoints, kg)
     v = descriptors(det, [inst], kg, cfg.aggregation)[0][0]
     values, sag = instance_attribution(
         clf, v, index, kg, background, cfg.s, cfg.shap_mode, cfg.shap_samples,

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .datagen import SceneInstance
-from .errors import ValidationError, read_json_object
+from .errors import ValidationError, read_json_array, read_json_object
 from .kg import KnowledgeGraph
 
 __all__ = [
@@ -243,11 +243,9 @@ def load_detector(path: str | Path) -> PartDetector:
         path, "part detector checkpoint", "part_detector",
         ("part_classes", "feature_dim", "weights", "bias"),
     )
-    det = PartDetector(
+    n = len(doc["part_classes"])
+    return PartDetector(
         part_classes=tuple(doc["part_classes"]),
-        weights=np.array(doc["weights"], dtype=np.float64),
-        bias=np.array(doc["bias"], dtype=np.float64),
+        weights=read_json_array(path, doc, "weights", (n, doc["feature_dim"])),
+        bias=read_json_array(path, doc, "bias", (n,)),
     )
-    if det.weights.shape != (len(det.part_classes), doc["feature_dim"]):
-        raise ValidationError(f"{path}: weight shape inconsistent with recorded dimensions")
-    return det

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the checked JSON reader.
+"""Exception types shared across the package, and the checked JSON readers.
 
 The CLI maps these onto distinct exit codes, so raising the right class
 matters: ValidationError for bad inputs (files, labels, flag values that
@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+
+import numpy as np
 
 
 class ValidationError(ValueError):
@@ -43,3 +45,26 @@ def read_json_object(
     if missing:
         raise ValidationError(f"{p}: {what} lacks {', '.join(missing)}")
     return doc
+
+
+def read_json_array(
+    path: str | Path, doc: dict, key: str, shape: tuple[int | None, ...]
+) -> np.ndarray:
+    """`doc[key]` as a finite float array of `shape` (None: any length).
+
+    Ragged, non-numeric, non-finite or wrong-shape values are a
+    ValidationError naming the file and the key.
+    """
+    try:
+        values = np.array(doc[key])
+    except ValueError:  # ragged nesting
+        values = None
+    if values is None or values.dtype.kind not in "iuf":
+        raise ValidationError(f"{path}: {key} is not a numeric array")
+    if values.ndim != len(shape) or any(
+        want is not None and got != want for got, want in zip(values.shape, shape)
+    ):
+        raise ValidationError(f"{path}: {key} has shape {values.shape}, expected {shape}")
+    if not np.all(np.isfinite(values)):
+        raise ValidationError(f"{path}: {key} holds non-finite values")
+    return values.astype(np.float64)

@@ -1,15 +1,14 @@
 """Orchestration of the two training regimes and full evaluation.
 
-Standard procedure: train the detector for all its epochs with unit
-region weights, then train the object classifier once on the aggregated
-descriptors.
-
-Alignment-weighted procedure: after each detector epoch, train a fresh
-classifier, compute attributions for every training instance, score
-their misattribution against the knowledge graph, and turn that into
-per-region loss multipliers for the *next* detector epoch (the first
-epoch always runs unweighted; attributions require a trained
-classifier). The classifier from the final epoch is the one kept.
+Both regimes run one loop. Every epoch makes one detector pass over the
+training split. With a weighting scheme, each epoch then trains a fresh
+classifier on the detector's descriptors, draws the attribution
+background, scores every training instance's attributions against the
+knowledge graph and turns them into per-region loss multipliers for the
+*next* detector epoch (the first epoch runs unweighted; attributions
+need a trained classifier). Without a scheme the classifier and the
+background are built once, after the last epoch. Either way the
+classifier and background of the last epoch are the ones kept.
 
 Every random stream is derived from (config seed, role, epoch), so a run
 is a pure function of (kg, dataset, config), and the weighted procedure
@@ -70,8 +69,6 @@ class TrainConfig:
     shap_mode: str = "kernel"
     shap_samples: int = 512
     aggregation: str = "frcnn"
-    batch_size: int = 32
-    hidden_units: int = 11
 
     def __post_init__(self):
         if self.epochs_det < 1 or self.epochs_clf < 1:
@@ -113,42 +110,69 @@ def descriptors(
     return x, y, [ds.predicted_parts() for ds in detections]
 
 
-def _detector_epoch_at(
-    det: PartDetector,
-    train_split: list[SceneInstance],
-    weights: dict[str, np.ndarray] | None,
+def _train(
+    kg: KnowledgeGraph,
+    splits: tuple[list[SceneInstance], list[SceneInstance], list[SceneInstance]],
     cfg: TrainConfig,
-    epoch: int,
-) -> tuple[PartDetector, float]:
-    """One detector epoch; raises NumericalError naming the epoch on divergence."""
-    det, det_loss = train_detector_epoch(
-        det,
-        train_split,
-        weights,
-        batch_size=cfg.batch_size,
-        rng=_derived_rng(cfg.seed, _TAG_BATCH, epoch),
-        learning_rate=cfg.lr_det,
-    )
-    params = (det.weights, det.bias)
-    if not (np.isfinite(det_loss) and all(np.all(np.isfinite(p)) for p in params)):
-        raise NumericalError(f"detector loss or weights became non-finite at epoch {epoch}")
-    return det, det_loss
-
-
-def _train_classifier_at(
-    kg: KnowledgeGraph, x: np.ndarray, y: np.ndarray, cfg: TrainConfig, epoch: int
-) -> MLPClassifier:
-    clf_seed = derive_seed(cfg.seed, _TAG_CLF, epoch)
-    clf = MLPClassifier.create(kg, hidden=cfg.hidden_units, seed=clf_seed)
-    return train_classifier(
-        clf, x, y, cfg.epochs_clf, cfg.lr_clf, seed=clf_seed, batch_size=cfg.batch_size
-    )
-
-
-def _background_at(x_train: np.ndarray, cfg: TrainConfig, epoch: int) -> BackgroundSet:
-    return BackgroundSet.sample(
-        x_train, cfg.background_size, derive_seed(cfg.seed, _TAG_BG, epoch)
-    )
+) -> RunArtifacts:
+    """The one training loop; `cfg.scheme` decides whether epochs are weighted."""
+    train_split, _, test_split = splits
+    if not train_split:
+        raise ValidationError("training split is empty")
+    kg_matrix = attribution_matrix(kg)
+    det = PartDetector.create(kg, train_split[0].regions[0].features.shape[0])
+    weights: dict[str, np.ndarray] = {}
+    per_epoch: list[dict] = []
+    for epoch in range(1, cfg.epochs_det + 1):
+        det, det_loss = train_detector_epoch(
+            det,
+            train_split,
+            weights or None,
+            rng=_derived_rng(cfg.seed, _TAG_BATCH, epoch),
+            learning_rate=cfg.lr_det,
+        )
+        params = (det.weights, det.bias)
+        if not (np.isfinite(det_loss) and all(np.all(np.isfinite(p)) for p in params)):
+            raise NumericalError(f"detector loss or weights became non-finite at epoch {epoch}")
+        alpha = {"alpha_mean": 1.0, "alpha_max": 1.0}
+        if cfg.scheme is not None or epoch == cfg.epochs_det:
+            x_train, y_train, predicted = descriptors(det, train_split, kg, cfg.aggregation)
+            clf_seed = derive_seed(cfg.seed, _TAG_CLF, epoch)
+            clf = train_classifier(
+                MLPClassifier.create(kg, seed=clf_seed),
+                x_train, y_train, cfg.epochs_clf, cfg.lr_clf, seed=clf_seed,
+            )
+            background = BackgroundSet.sample(
+                x_train, cfg.background_size, derive_seed(cfg.seed, _TAG_BG, epoch)
+            )
+        if cfg.scheme is not None:
+            weights = {}
+            for index, inst in enumerate(train_split):
+                # Weighting needs only coarse misattribution magnitudes but runs
+                # over the whole training split every epoch, so it always takes
+                # the sampled kernel route; cfg.shap_mode governs the metric.
+                shap_values = kernel_shap_matrix(
+                    clf,
+                    x_train[index],
+                    background,
+                    cfg.shap_samples,
+                    seed=derive_seed(cfg.seed, _TAG_SHAP_TRAIN, epoch, index),
+                )
+                k = kg.object_index(inst.gt_object_class)
+                weights[inst.id] = region_weights(
+                    shap_values[k],
+                    kg_matrix[k],
+                    x_train[index],
+                    predicted[index],
+                    cfg.scheme,
+                    cfg.v_threshold,
+                )
+            all_alphas = np.concatenate(list(weights.values()))
+            alpha = {"alpha_mean": float(all_alphas.mean()), "alpha_max": float(all_alphas.max())}
+        per_epoch.append({"epoch": epoch, "det_loss": det_loss, **alpha})
+    artifacts = RunArtifacts(det, clf, {}, per_epoch, cfg, background)
+    artifacts.metrics = evaluate(artifacts, test_split, kg)
+    return artifacts
 
 
 def train_standard(
@@ -161,22 +185,7 @@ def train_standard(
         raise ValidationError(
             "standard procedure takes no weighting scheme; use train_shap_backprop"
         )
-    train_split, _, test_split = splits
-    if not train_split:
-        raise ValidationError("training split is empty")
-    det = PartDetector.create(kg, train_split[0].regions[0].features.shape[0])
-    per_epoch: list[dict] = []
-    for epoch in range(1, cfg.epochs_det + 1):
-        det, det_loss = _detector_epoch_at(det, train_split, None, cfg, epoch)
-        per_epoch.append(
-            {"epoch": epoch, "det_loss": det_loss, "alpha_mean": 1.0, "alpha_max": 1.0}
-        )
-    x_train, y_train, _ = descriptors(det, train_split, kg, cfg.aggregation)
-    clf = _train_classifier_at(kg, x_train, y_train, cfg, cfg.epochs_det)
-    background = _background_at(x_train, cfg, cfg.epochs_det)
-    artifacts = RunArtifacts(det, clf, {}, per_epoch, cfg, background)
-    artifacts.metrics = evaluate(artifacts, test_split, kg)
-    return artifacts
+    return _train(kg, splits, cfg)
 
 
 def train_shap_backprop(
@@ -191,54 +200,7 @@ def train_shap_backprop(
     """
     if cfg.scheme is None:
         raise ValidationError("train_shap_backprop requires a weighting scheme")
-    train_split, _, test_split = splits
-    if not train_split:
-        raise ValidationError("training split is empty")
-    kg_matrix = attribution_matrix(kg)
-    det = PartDetector.create(kg, train_split[0].regions[0].features.shape[0])
-    weights: dict[str, np.ndarray] = {}
-    per_epoch: list[dict] = []
-    clf: MLPClassifier | None = None
-    background: BackgroundSet | None = None
-    for epoch in range(1, cfg.epochs_det + 1):
-        det, det_loss = _detector_epoch_at(det, train_split, weights or None, cfg, epoch)
-        x_train, y_train, predicted = descriptors(det, train_split, kg, cfg.aggregation)
-        clf = _train_classifier_at(kg, x_train, y_train, cfg, epoch)
-        background = _background_at(x_train, cfg, epoch)
-        weights = {}
-        for index, inst in enumerate(train_split):
-            # Weighting needs only coarse misattribution magnitudes but runs
-            # over the whole training split every epoch, so it always takes
-            # the sampled kernel route; cfg.shap_mode governs the metric.
-            shap_values = kernel_shap_matrix(
-                clf,
-                x_train[index],
-                background,
-                cfg.shap_samples,
-                seed=derive_seed(cfg.seed, _TAG_SHAP_TRAIN, epoch, index),
-            )
-            k = kg.object_index(inst.gt_object_class)
-            weights[inst.id] = region_weights(
-                shap_values[k],
-                kg_matrix[k],
-                x_train[index],
-                predicted[index],
-                cfg.scheme,
-                cfg.v_threshold,
-            )
-        all_alphas = np.concatenate(list(weights.values()))
-        per_epoch.append(
-            {
-                "epoch": epoch,
-                "det_loss": det_loss,
-                "alpha_mean": float(all_alphas.mean()),
-                "alpha_max": float(all_alphas.max()),
-            }
-        )
-    assert clf is not None and background is not None
-    artifacts = RunArtifacts(det, clf, {}, per_epoch, cfg, background)
-    artifacts.metrics = evaluate(artifacts, test_split, kg)
-    return artifacts
+    return _train(kg, splits, cfg)
 
 
 def part_macro_accuracy(
@@ -293,9 +255,16 @@ def evaluate(
     }
 
 
-# (name, type) of each TrainConfig field but `scheme`, which the echo spells as mode, scheme, h
+def _integral(value) -> int:
+    # int() alone would read a seed of 1.5 as 1
+    if int(value) != value:
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
+# (name, cast) of each TrainConfig field but `scheme`, which the echo spells as mode, scheme, h
 _ECHO_FIELDS = tuple(
-    (f.name, {"int": int, "float": float, "str": str}[f.type])
+    (f.name, {"int": _integral, "float": float, "str": str}[f.type])
     for f in fields(TrainConfig)
     if f.name != "scheme"
 )
@@ -317,7 +286,7 @@ def config_from_echo(echo: dict) -> TrainConfig:
             scheme = WeightScheme(echo["scheme"], float(echo.get("h", 1.0)))
         values = {name: cast(echo[name]) for name, cast in _ECHO_FIELDS}
         return TrainConfig(scheme=scheme, **values)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed run configuration: {exc!r}") from exc
 
 
@@ -328,17 +297,3 @@ def metrics_report(artifacts: RunArtifacts) -> dict:
         "per_epoch": artifacts.per_epoch,
     }
 
-
-def rebuild_background(
-    kg: KnowledgeGraph,
-    det: PartDetector,
-    train_split: list[SceneInstance],
-    cfg: TrainConfig,
-) -> BackgroundSet:
-    """Reconstruct the evaluation background from a loaded checkpoint.
-
-    Matches the background a fresh run with this config would use, so an
-    external re-evaluation reproduces the training-time metrics exactly.
-    """
-    x_train, _, _ = descriptors(det, train_split, kg, cfg.aggregation)
-    return _background_at(x_train, cfg, cfg.epochs_det)

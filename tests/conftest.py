@@ -1,12 +1,27 @@
 import numpy as np
 import pytest
 
+from xnesyl.detector import PartDetector
 from xnesyl.kg import KnowledgeGraph, monumai_kg
 
 
 @pytest.fixture(scope="session")
 def monumai() -> KnowledgeGraph:
     return monumai_kg()
+
+
+@pytest.fixture
+def detect_calls(monkeypatch):
+    """One entry per detector inference call made while the test runs."""
+    calls = []
+    probabilities = PartDetector.probabilities
+
+    def counted(det, features):
+        calls.append(1)
+        return probabilities(det, features)
+
+    monkeypatch.setattr(PartDetector, "probabilities", counted)
+    return calls
 
 
 @pytest.fixture(scope="session")

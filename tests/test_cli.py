@@ -1,6 +1,7 @@
 """End-to-end CLI: generation, training, evaluation, explanation, reporting."""
 
 import json
+import math
 import re
 import shutil
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from xnesyl.cli import main
-from xnesyl.datagen import read_dataset
+from xnesyl.datagen import read_dataset, split_dataset
 from xnesyl.kg import KnowledgeGraph, dumps_kg, monumai_kg
 
 
@@ -70,7 +71,10 @@ class TestGen:
 class TestTrain:
     def test_outputs_exist(self, run_dir):
         out = run_dir["out"]
-        for name in ("detector.json", "classifier.json", "metrics.json", "ged_report.json"):
+        for name in (
+            "detector.json", "classifier.json", "background.json", "metrics.json",
+            "ged_report.json",
+        ):
             assert (run_dir["root"] / "ckpt" / name).exists(), name
 
     def test_metrics_json_round_trips(self, run_dir):
@@ -192,37 +196,94 @@ class TestEval:
         assert first == second
 
 
+def _edit(key, change):
+    """A map from a saved JSON document to one whose `key` holds change(value)."""
+    return lambda doc: {**doc, key: change(doc[key])}
+
+
 class TestMalformedRunDir:
-    # None stands for the trained classifier checkpoint with its "w1" removed
+    # `edit` is the file's new text, a map from its saved document to the
+    # written one, or None to delete the file; `mention` must be in the message
     @pytest.mark.parametrize(
-        "name, text",
+        "name, edit, mention",
         [
-            ("metrics.json", "{not json"),
-            ("metrics.json", '{"config": {"seed": 1}}'),
-            ("metrics.json", "[1]"),
-            ("detector.json", "{bad"),
-            ("detector.json", '{"kind": "part_detector"}'),
-            ("classifier.json", None),
+            ("metrics.json", "{not json", "JSON"),
+            ("metrics.json", '{"config": {"seed": 1}}', "config"),
+            ("metrics.json", "[1]", "object"),
+            ("detector.json", "{bad", "JSON"),
+            ("detector.json", '{"kind": "part_detector"}', "lacks"),
+            ("classifier.json", lambda doc: {k: v for k, v in doc.items() if k != "w1"}, "w1"),
+            ("classifier.json", _edit("b2", lambda a: a[:1]), "b2"),
+            ("classifier.json", _edit("w1", lambda a: [[math.nan, *a[0][1:]], *a[1:]]), "w1"),
+            ("classifier.json", _edit("w1", lambda a: [a[0][:-1], *a[1:]]), "w1"),
+            ("detector.json", _edit("bias", lambda a: ["x", *a[1:]]), "bias"),
+            ("classifier.json", _edit("w2", lambda a: a[:2]), "w2"),
+            ("background.json", None, "re-train"),
+            ("background.json", _edit("vectors", lambda a: [row[:-1] for row in a]), "vectors"),
         ],
         ids=[
             "metrics-not-json", "metrics-partial-config", "metrics-list",
             "detector-not-json", "detector-kind-only", "classifier-without-w1",
+            "b2-length-1", "w1-nan", "w1-ragged-row", "bias-string", "w2-two-rows",
+            "background-missing", "background-narrow",
         ],
     )
-    def test_eval_exits_3(self, kg_path, run_dir, tmp_path, capsys, name, text):
+    def test_eval_exits_3(self, kg_path, run_dir, tmp_path, capsys, name, edit, mention):
         ckpt = tmp_path / "ckpt"
         shutil.copytree(run_dir["out"], ckpt)
-        if text is None:
-            doc = json.loads((ckpt / name).read_text())
-            del doc["w1"]
-            text = json.dumps(doc)
-        (ckpt / name).write_text(text, encoding="utf-8")
+        if edit is None:
+            (ckpt / name).unlink()
+        else:
+            if callable(edit):
+                edit = json.dumps(edit(json.loads((ckpt / name).read_text())))
+            (ckpt / name).write_text(edit, encoding="utf-8")
         code = main([
             "eval", "--kg", kg_path, "--data", run_dir["data"], "--checkpoints", str(ckpt),
         ])
         assert code == 3
         err = capsys.readouterr().err
-        assert name in err and "Traceback" not in err
+        assert name in err and mention in err and "Traceback" not in err
+
+
+class TestSavedBackground:
+    def test_eval_detects_only_the_test_split(self, kg_path, run_dir, tmp_path, detect_calls):
+        test_split = split_dataset(read_dataset(run_dir["data"], monumai_kg()))[2]
+        detect_calls.clear()
+        assert main([
+            "eval", "--kg", kg_path, "--data", run_dir["data"],
+            "--checkpoints", run_dir["out"], "--out", str(tmp_path / "eval.json"),
+        ]) == 0
+        assert len(detect_calls) == len(test_split)
+
+    def test_explain_detects_one_instance(self, kg_path, run_dir, tmp_path, detect_calls):
+        inst_id = read_dataset(run_dir["data"], monumai_kg())[0].id
+        detect_calls.clear()
+        assert main([
+            "explain", "--kg", kg_path, "--data", run_dir["data"],
+            "--checkpoints", run_dir["out"], "--instance-id", inst_id,
+            "--out-dir", str(tmp_path),
+        ]) == 0
+        assert len(detect_calls) == 1
+
+    def test_eval_ignores_training_split_of_data(self, kg_path, run_dir, tmp_path, capsys):
+        kg = monumai_kg()
+        train_ids = {inst.id for inst in split_dataset(read_dataset(run_dir["data"], kg))[0]}
+        lines = []
+        for line in open(run_dir["data"], encoding="utf-8"):
+            doc = json.loads(line)
+            if doc["id"] in train_ids:
+                for region in doc["regions"]:
+                    region["features"] = [-f for f in region["features"]]
+            lines.append(json.dumps(doc))
+        edited = tmp_path / "edited.jsonl"
+        edited.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main([
+            "eval", "--kg", kg_path, "--data", str(edited),
+            "--checkpoints", run_dir["out"], "--out", str(tmp_path / "eval.json"),
+        ]) == 0
+        evaluated = json.loads(capsys.readouterr().out)["metrics"]
+        trained = json.loads((run_dir["root"] / "ckpt" / "metrics.json").read_text())["metrics"]
+        assert evaluated == trained
 
 
 class TestExplain:
@@ -231,9 +292,8 @@ class TestExplain:
         from xnesyl.classifier import load_classifier
         from xnesyl.detector import aggregate, detect, load_detector
         from xnesyl.alignment import _TAG_INSTANCE, derive_seed
-        from xnesyl.shapley import shap_matrix
-        from xnesyl.training import config_from_echo, rebuild_background, shap_eval_seed
-        from xnesyl.datagen import split_dataset
+        from xnesyl.shapley import BackgroundSet, shap_matrix
+        from xnesyl.training import config_from_echo, shap_eval_seed
 
         kg = monumai_kg()
         dataset = read_dataset(run_dir["data"], kg)
@@ -251,7 +311,9 @@ class TestExplain:
         echo = json.loads((run_dir["root"] / "ckpt" / "metrics.json").read_text())["config"]
         cfg = config_from_echo(echo)
         splits = split_dataset(dataset)
-        background = rebuild_background(kg, det, splits[0], cfg)
+        background = BackgroundSet(np.array(
+            json.loads((run_dir["root"] / "ckpt" / "background.json").read_text())["vectors"]
+        ))
         v = aggregate(detect(det, inst), cfg.aggregation)
         # seeded by the instance's position in its own split
         index = next(

@@ -6,7 +6,6 @@ import pytest
 from xnesyl import training as training_module
 from xnesyl.alignment import WeightScheme
 from xnesyl.datagen import GeneratorConfig, generate_dataset, split_dataset
-from xnesyl.detector import PartDetector
 from xnesyl.errors import ValidationError
 from xnesyl.kg import monumai_kg
 from xnesyl.training import (
@@ -164,29 +163,23 @@ class TestEvaluate:
 
 
 class TestDetectionPasses:
-    @pytest.fixture
-    def calls(self, monkeypatch):
-        calls = []
-        probabilities = PartDetector.probabilities
-
-        def counted(det, features):
-            calls.append(1)
-            return probabilities(det, features)
-
-        monkeypatch.setattr(PartDetector, "probabilities", counted)
-        return calls
-
-    def test_train_standard_detects_each_instance_once(self, small_splits, calls):
+    def test_train_standard_detects_each_instance_once(self, small_splits, detect_calls):
         kg, splits = small_splits
         train_standard(kg, splits, TrainConfig(seed=15, **FAST))
-        assert len(calls) == len(splits[0]) + len(splits[2])
+        assert len(detect_calls) == len(splits[0]) + len(splits[2])
 
-    def test_evaluate_detects_each_test_instance_once(self, small_splits, calls):
+    def test_train_shap_backprop_detects_train_split_each_epoch(self, small_splits, detect_calls):
+        kg, splits = small_splits
+        cfg = TrainConfig(seed=15, scheme=WeightScheme("linear_instance"), **FAST)
+        train_shap_backprop(kg, splits, cfg)
+        assert len(detect_calls) == cfg.epochs_det * len(splits[0]) + len(splits[2])
+
+    def test_evaluate_detects_each_test_instance_once(self, small_splits, detect_calls):
         kg, splits = small_splits
         artifacts = train_standard(kg, splits, TrainConfig(seed=15, **FAST))
-        calls.clear()
+        detect_calls.clear()
         evaluate(artifacts, splits[2], kg)
-        assert len(calls) == len(splits[2])
+        assert len(detect_calls) == len(splits[2])
 
 
 class TestConfigEcho:
@@ -208,7 +201,13 @@ class TestConfigEcho:
         assert config_from_echo(echo) == cfg
 
     @pytest.mark.parametrize(
-        "echo", [{"seed": 1}, [1], {**config_echo(TrainConfig(seed=0)), "seed": "x"}]
+        "echo",
+        [
+            {"seed": 1},
+            [1],
+            {**config_echo(TrainConfig(seed=0)), "seed": "x"},
+            {**config_echo(TrainConfig(seed=0)), "seed": 1.5},
+        ],
     )
     def test_malformed_echo_rejected(self, echo):
         with pytest.raises(ValidationError, match="malformed run configuration"):
