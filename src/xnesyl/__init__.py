@@ -48,7 +48,7 @@ from .kg import (
     monumai_kg,
     project,
 )
-from .shapley import BackgroundSet, exact_shapley, kernel_shap, shap_summary
+from .shapley import BackgroundSet, shap_matrix, shap_summary
 from .training import RunArtifacts, TrainConfig, evaluate, train_shap_backprop, train_standard
 
 __version__ = "0.1.0"
@@ -89,8 +89,7 @@ __all__ = [
     "monumai_kg",
     "project",
     "BackgroundSet",
-    "exact_shapley",
-    "kernel_shap",
+    "shap_matrix",
     "shap_summary",
     "RunArtifacts",
     "TrainConfig",

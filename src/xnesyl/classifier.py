@@ -15,7 +15,9 @@ from pathlib import Path
 import numpy as np
 
 from .detector import log_softmax, softmax
-from .errors import NumericalError, ValidationError, read_json_array, read_json_object
+from .errors import (
+    NumericalError, ValidationError, read_json_array, read_json_labels, read_json_object,
+)
 from .kg import KnowledgeGraph
 
 __all__ = [
@@ -202,9 +204,10 @@ def load_classifier(path: str | Path) -> MLPClassifier:
         path, "classifier checkpoint", "mlp_classifier",
         ("object_classes", "input_dim", "hidden_units", "w1", "b1", "w2", "b2"),
     )
-    hidden, m = doc["hidden_units"], len(doc["object_classes"])
+    object_classes = read_json_labels(path, doc, "object_classes")
+    hidden, m = doc["hidden_units"], len(object_classes)
     return MLPClassifier(
-        object_classes=tuple(doc["object_classes"]),
+        object_classes=object_classes,
         w1=read_json_array(path, doc, "w1", (hidden, doc["input_dim"])),
         b1=read_json_array(path, doc, "b1", (hidden,)),
         w2=read_json_array(path, doc, "w2", (m, hidden)),

@@ -24,10 +24,10 @@ from pathlib import Path
 from .alignment import SCHEME_KINDS, WeightScheme, instance_attribution, sag_to_dot, sag_to_json
 from .classifier import load_classifier, save_classifier
 from .datagen import GeneratorConfig, generate_dataset, read_dataset, split_dataset, write_dataset
-from .detector import load_detector, save_detector
+from .detector import AGGREGATIONS, load_detector, save_detector
 from .errors import NumericalError, ValidationError, read_json_array, read_json_object
 from .kg import KnowledgeGraph, load_kg
-from .shapley import BackgroundSet, shap_summary, write_summary_csv
+from .shapley import SHAP_MODES, BackgroundSet, shap_summary, write_summary_csv
 from .training import (
     RunArtifacts,
     TrainConfig,
@@ -90,17 +90,17 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--out-dir", required=True)
     train.add_argument("--mode", choices=["standard", "shap-backprop"], default="standard")
     train.add_argument("--scheme", choices=sorted(_SCHEME_FLAGS), default=None)
-    train.add_argument("--agg", choices=["frcnn", "retina"], default="frcnn")
-    train.add_argument("--epochs-det", type=int, default=10)
-    train.add_argument("--epochs-clf", type=int, default=60)
-    train.add_argument("--lr-det", type=float, default=0.5)
-    train.add_argument("--lr-clf", type=float, default=0.05)
-    train.add_argument("--h", type=float, default=1.0)
-    train.add_argument("--s", type=float, default=0.05)
-    train.add_argument("--v-threshold", type=float, default=0.0)
-    train.add_argument("--shap", choices=["exact", "kernel"], default="kernel")
-    train.add_argument("--shap-samples", type=int, default=512)
-    train.add_argument("--bg-size", type=int, default=100)
+    train.add_argument("--agg", choices=AGGREGATIONS, default=TrainConfig.aggregation)
+    train.add_argument("--epochs-det", type=int, default=TrainConfig.epochs_det)
+    train.add_argument("--epochs-clf", type=int, default=TrainConfig.epochs_clf)
+    train.add_argument("--lr-det", type=float, default=TrainConfig.lr_det)
+    train.add_argument("--lr-clf", type=float, default=TrainConfig.lr_clf)
+    train.add_argument("--h", type=float, default=WeightScheme.h)
+    train.add_argument("--s", type=float, default=TrainConfig.s)
+    train.add_argument("--v-threshold", type=float, default=TrainConfig.v_threshold)
+    train.add_argument("--shap", choices=SHAP_MODES, default=TrainConfig.shap_mode)
+    train.add_argument("--shap-samples", type=int, default=TrainConfig.shap_samples)
+    train.add_argument("--bg-size", type=int, default=TrainConfig.background_size)
     train.add_argument("--seed", type=int, default=None)
     train.set_defaults(func=lambda args: _cmd_train(args, train))
 

@@ -19,10 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from .datagen import SceneInstance
-from .errors import ValidationError, read_json_array, read_json_object
+from .errors import ValidationError, read_json_array, read_json_labels, read_json_object
 from .kg import KnowledgeGraph
 
 __all__ = [
+    "AGGREGATIONS",
     "PartDetector",
     "DetectionSet",
     "detect",
@@ -34,6 +35,8 @@ __all__ = [
     "save_detector",
     "load_detector",
 ]
+
+AGGREGATIONS = ("frcnn", "retina")
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -65,10 +68,6 @@ class PartDetector:
     @property
     def feature_dim(self) -> int:
         return self.weights.shape[1]
-
-    @property
-    def num_parts(self) -> int:
-        return self.weights.shape[0]
 
     def probabilities(self, features: np.ndarray) -> np.ndarray:
         """(M, d) feature rows to (M, n) part probability rows."""
@@ -133,12 +132,12 @@ def aggregate_retina(ds: DetectionSet) -> np.ndarray:
 
 
 def aggregate(ds: DetectionSet, mode: str) -> np.ndarray:
-    """Dispatch on aggregation mode ("frcnn" or "retina")."""
+    """Dispatch on aggregation mode, one of AGGREGATIONS."""
     if mode == "frcnn":
         return aggregate_frcnn(ds)
     if mode == "retina":
         return aggregate_retina(ds)
-    raise ValidationError(f"unknown aggregation mode {mode!r}; expected 'frcnn' or 'retina'")
+    raise ValidationError(f"unknown aggregation mode {mode!r}; expected one of {AGGREGATIONS}")
 
 
 def _instance_arrays(det: PartDetector, inst: SceneInstance) -> tuple[np.ndarray, np.ndarray]:
@@ -243,9 +242,10 @@ def load_detector(path: str | Path) -> PartDetector:
         path, "part detector checkpoint", "part_detector",
         ("part_classes", "feature_dim", "weights", "bias"),
     )
-    n = len(doc["part_classes"])
+    part_classes = read_json_labels(path, doc, "part_classes")
+    n = len(part_classes)
     return PartDetector(
-        part_classes=tuple(doc["part_classes"]),
+        part_classes=part_classes,
         weights=read_json_array(path, doc, "weights", (n, doc["feature_dim"])),
         bias=read_json_array(path, doc, "bias", (n,)),
     )

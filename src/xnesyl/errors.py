@@ -47,6 +47,14 @@ def read_json_object(
     return doc
 
 
+def read_json_labels(path: str | Path, doc: dict, key: str) -> tuple[str, ...]:
+    """`doc[key]` as a tuple of strings, else a ValidationError naming the file and key."""
+    labels = doc[key]
+    if not isinstance(labels, list) or not all(isinstance(label, str) for label in labels):
+        raise ValidationError(f"{path}: {key} is not a list of strings")
+    return tuple(labels)
+
+
 def read_json_array(
     path: str | Path, doc: dict, key: str, shape: tuple[int | None, ...]
 ) -> np.ndarray:

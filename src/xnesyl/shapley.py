@@ -1,35 +1,37 @@
 """Shapley feature attribution of a descriptor-level model.
 
-Attributions explain one model output (one object class) for one
+Attributions explain every model output (one per object class) for one
 descriptor x against a background of reference descriptors. A feature
 "missing" from a coalition is replaced by its background value, and the
-coalition's worth is the background-averaged model output, so the
-attributions sum to f_k(x) minus the mean background output (the
+coalition's worth is the background-averaged model output, so each row of
+attributions sums to f_k(x) minus the mean background output (the
 efficiency identity asserted throughout the tests).
 
-Two routes are provided and deliberately kept independent of each other:
+`shap_matrix` is the one entry point of scoring, `explain` and the
+training-time weighting pass. It refuses non-finite attributions and
+dispatches on a mode of `SHAP_MODES` to one of two independent estimators:
 
-* `exact_shapley` applies the classical permutation-weight formula to
-  every coalition of the features that can move the output. Per reference
-  row b, a feature with x_j == b_j is a null player, so the cost is
-  2^(live features) coalitions per distinct live pattern among the
-  references; dense descriptors keep all n features live and cost 2^n.
-  The n <= 16 guard applies to n, not to the live count. It is the
-  oracle for the kernel route.
-* `kernel_shap` solves the weighted least-squares system with the
-  Shapley kernel weight (n-1) / (C(n,|z|) |z| (n-|z|)), with the empty
-  and full coalitions pinned to the exact model values. Sampled when the
-  coalition space is large; when every proper coalition is enumerated it
-  reproduces the exact values.
+* "exact" (`exact_shap_matrix`) applies the classical permutation-weight
+  formula to every coalition of the features that can move the output.
+  Per reference row b, a feature with x_j == b_j is a null player, so the
+  cost is 2^(live features) coalitions per distinct live pattern among
+  the references; dense descriptors keep all n features live and cost
+  2^n. The n <= 16 guard applies to n, not to the live count. It is the
+  oracle for the kernel estimator.
+* "kernel" (`kernel_shap_matrix`) solves the weighted least-squares
+  system with the Shapley kernel weight (n-1) / (C(n,|z|) |z| (n-|z|)),
+  with the empty and full coalitions pinned to the exact model values.
+  Sampled when the coalition space is large; when every proper coalition
+  is enumerated it reproduces the exact values.
 
 A model that exposes an affine first layer and a head (`LayeredModel`,
 such as `MLPClassifier`) is evaluated through that structure, without
-building composite descriptors: the exact route builds every coalition's
-first-layer output by subset sums (`_layered_game_values`), and the
-kernel route multiplies its sampled masks into the first layer
-(`_coalition_values`). Any other callable is called on the composite
-rows (`_coalition_values`). That black-box route is the oracle the tests
-hold both structured ones to (1e-12).
+building composite descriptors: the exact estimator builds every
+coalition's first-layer output by subset sums (`_layered_game_values`),
+and the kernel estimator multiplies its sampled masks into the first
+layer (`_coalition_values`). Any other callable is called on the
+composite rows (`_coalition_values`). That black-box route is the oracle
+the tests hold both structured ones to (1e-12).
 """
 
 from __future__ import annotations
@@ -50,9 +52,8 @@ __all__ = [
     "BackgroundSet",
     "LayeredModel",
     "Model",
-    "exact_shapley",
+    "SHAP_MODES",
     "exact_shap_matrix",
-    "kernel_shap",
     "kernel_shap_matrix",
     "shap_matrix",
     "ShapSummary",
@@ -81,6 +82,7 @@ class LayeredModel(Protocol):
     def head(self, pre: np.ndarray) -> np.ndarray: ...
 
 
+SHAP_MODES = ("exact", "kernel")
 EXACT_MAX_FEATURES = 16
 # Cap on the elements of one chunk's composite rows or pre-activations. At
 # 2^16 float64 (512 KB) a chunk's temporaries stay in a 2 MB L2 cache: one
@@ -107,10 +109,6 @@ class BackgroundSet:
     @property
     def num_features(self) -> int:
         return self.vectors.shape[1]
-
-    @property
-    def mean(self) -> np.ndarray:
-        return self.vectors.mean(axis=0)
 
     @classmethod
     def sample(cls, descriptors: np.ndarray, size: int, seed: int) -> "BackgroundSet":
@@ -300,7 +298,7 @@ def exact_shap_matrix(model: Model, x: np.ndarray, bg: BackgroundSet) -> np.ndar
     if n > EXACT_MAX_FEATURES:
         raise ValidationError(
             f"exact enumeration refuses n={n} > {EXACT_MAX_FEATURES} features; "
-            "use kernel_shap instead"
+            "use the kernel mode (kernel_shap_matrix) instead"
         )
     layered = _is_layered(model)
     patterns, group = np.unique(x[None, :] != bg.vectors, axis=0, return_inverse=True)
@@ -321,11 +319,6 @@ def exact_shap_matrix(model: Model, x: np.ndarray, bg: BackgroundSet) -> np.ndar
     if shap is None:  # x equals every reference
         return np.zeros((np.asarray(model(x[None, :])).shape[1], n))
     return shap
-
-
-def exact_shapley(model: Model, x: np.ndarray, bg: BackgroundSet, class_index: int) -> np.ndarray:
-    """Exact Shapley attributions of output `class_index`; length n."""
-    return exact_shap_matrix(model, x, bg)[class_index]
 
 
 def _kernel_weight(n: int, size: int) -> float:
@@ -424,18 +417,6 @@ def kernel_shap_matrix(
     return _kernel_solve(masks, weights, values, v0, v1)
 
 
-def kernel_shap(
-    model: Model,
-    x: np.ndarray,
-    bg: BackgroundSet,
-    class_index: int,
-    num_coalition_samples: int,
-    seed: int,
-) -> np.ndarray:
-    """Kernel-estimated attributions of output `class_index`; length n."""
-    return kernel_shap_matrix(model, x, bg, num_coalition_samples, seed)[class_index]
-
-
 def shap_matrix(
     model: Model,
     x: np.ndarray,
@@ -444,12 +425,20 @@ def shap_matrix(
     num_coalition_samples: int,
     seed: int,
 ) -> np.ndarray:
-    """Dispatch on mode ("exact" or "kernel"); returns (m, n)."""
+    """Attributions of every output by the estimator `mode` names; (m, n).
+
+    Non-finite attributions raise NumericalError. The estimators are looked
+    up by name at each call, so one replaced in this module sees every call.
+    """
     if mode == "exact":
-        return exact_shap_matrix(model, x, bg)
-    if mode == "kernel":
-        return kernel_shap_matrix(model, x, bg, num_coalition_samples, seed)
-    raise ValidationError(f"unknown shap mode {mode!r}; expected 'exact' or 'kernel'")
+        values = exact_shap_matrix(model, x, bg)
+    elif mode == "kernel":
+        values = kernel_shap_matrix(model, x, bg, num_coalition_samples, seed)
+    else:
+        raise ValidationError(f"unknown shap mode {mode!r}; expected one of {SHAP_MODES}")
+    if not np.all(np.isfinite(values)):
+        raise NumericalError(f"{mode} attributions are non-finite")
+    return values
 
 
 @dataclass(frozen=True)

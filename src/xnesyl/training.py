@@ -25,10 +25,10 @@ from . import alignment
 from .alignment import WeightScheme, derive_seed, mean_shap_ged, region_weights
 from .classifier import MLPClassifier, accuracy, train_classifier
 from .datagen import SceneInstance
-from .detector import PartDetector, aggregate, detect, train_detector_epoch
+from .detector import AGGREGATIONS, PartDetector, aggregate, detect, train_detector_epoch
 from .errors import NumericalError, ValidationError
 from .kg import KnowledgeGraph, attribution_matrix
-from .shapley import BackgroundSet, kernel_shap_matrix
+from .shapley import SHAP_MODES, BackgroundSet, shap_matrix
 
 __all__ = [
     "TrainConfig",
@@ -77,9 +77,9 @@ class TrainConfig:
             raise ValidationError("learning rates must be finite and positive")
         if not (np.isfinite(self.s) and np.isfinite(self.v_threshold)):
             raise ValidationError("thresholds s and v_threshold must be finite")
-        if self.shap_mode not in ("exact", "kernel"):
+        if self.shap_mode not in SHAP_MODES:
             raise ValidationError(f"unknown shap mode {self.shap_mode!r}")
-        if self.aggregation not in ("frcnn", "retina"):
+        if self.aggregation not in AGGREGATIONS:
             raise ValidationError(f"unknown aggregation mode {self.aggregation!r}")
         if self.background_size < 1:
             raise ValidationError("background_size must be >= 1")
@@ -148,14 +148,9 @@ def _train(
         if cfg.scheme is not None:
             weights = {}
             for index, inst in enumerate(train_split):
-                # Weighting needs only coarse misattribution magnitudes but runs
-                # over the whole training split every epoch, so it always takes
-                # the sampled kernel route; cfg.shap_mode governs the metric.
-                shap_values = kernel_shap_matrix(
-                    clf,
-                    x_train[index],
-                    background,
-                    cfg.shap_samples,
+                # always sampled: it scores the whole training split every epoch
+                shap_values = shap_matrix(
+                    clf, x_train[index], background, "kernel", cfg.shap_samples,
                     seed=derive_seed(cfg.seed, _TAG_SHAP_TRAIN, epoch, index),
                 )
                 k = kg.object_index(inst.gt_object_class)

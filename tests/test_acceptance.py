@@ -35,7 +35,6 @@ from xnesyl.kg import deterministic_classify, monumai_kg
 from xnesyl.shapley import (
     BackgroundSet,
     exact_shap_matrix,
-    exact_shapley,
     kernel_shap_matrix,
 )
 from xnesyl.training import TrainConfig, train_shap_backprop, train_standard
@@ -119,7 +118,7 @@ def test_criterion_1_shapley_efficiency():
         bg = BackgroundSet(rng.normal(size=(8, n)))
         k = int(rng.integers(0, 4))
         span = model(x[None, :])[0, k] - model(bg.vectors)[:, k].mean()
-        exact = exact_shapley(model, x, bg, k)
+        exact = exact_shap_matrix(model, x, bg)[k]
         worst_exact = max(worst_exact, abs(exact.sum() - span))
         # sample budget covering every proper coalition (and the 2n floor,
         # which exceeds the coalition count for n = 2) forces enumeration

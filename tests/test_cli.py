@@ -220,12 +220,15 @@ class TestMalformedRunDir:
             ("classifier.json", _edit("w2", lambda a: a[:2]), "w2"),
             ("background.json", None, "re-train"),
             ("background.json", _edit("vectors", lambda a: [row[:-1] for row in a]), "vectors"),
+            ("classifier.json", _edit("object_classes", lambda a: 4), "object_classes"),
+            ("detector.json", _edit("part_classes", lambda a: None), "part_classes"),
         ],
         ids=[
             "metrics-not-json", "metrics-partial-config", "metrics-list",
             "detector-not-json", "detector-kind-only", "classifier-without-w1",
             "b2-length-1", "w1-nan", "w1-ragged-row", "bias-string", "w2-two-rows",
-            "background-missing", "background-narrow",
+            "background-missing", "background-narrow", "object-classes-int",
+            "part-classes-null",
         ],
     )
     def test_eval_exits_3(self, kg_path, run_dir, tmp_path, capsys, name, edit, mention):
@@ -395,6 +398,35 @@ class TestCheckpointAgainstKg:
         err = capsys.readouterr().err
         assert f"checkpoint {field}" in err and f"--kg {field}" in err
         assert list(tmp_path.iterdir()) == [reordered]
+
+
+class TestNonFiniteAttributions:
+    # w1 at 1e308 is finite, so the checkpoint reads cleanly, but the
+    # classifier's outputs overflow to NaN and so would its attributions
+    @pytest.mark.parametrize("command", ["eval", "explain"])
+    @pytest.mark.parametrize("shap", ["exact", "kernel"])
+    def test_exits_4(self, kg_path, run_dir, tmp_path, capsys, command, shap):
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(run_dir["out"], ckpt)
+        for name, change in (
+            ("classifier.json", _edit("w1", lambda a: [[1e308] * len(row) for row in a])),
+            ("metrics.json", _edit("config", lambda cfg: {**cfg, "shap_mode": shap})),
+        ):
+            doc = change(json.loads((ckpt / name).read_text()))
+            (ckpt / name).write_text(json.dumps(doc), encoding="utf-8")
+        inst_id = split_dataset(read_dataset(run_dir["data"], monumai_kg()))[2][0].id
+        extra = {
+            "eval": ["--out", str(tmp_path / "eval.json")],
+            "explain": ["--instance-id", inst_id, "--out-dir", str(tmp_path)],
+        }[command]
+        with np.errstate(all="ignore"):
+            code = main([
+                command, "--kg", kg_path, "--data", run_dir["data"],
+                "--checkpoints", str(ckpt), *extra,
+            ])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert f"{shap} attributions are non-finite" in err and "Traceback" not in err
 
 
 class TestReport:

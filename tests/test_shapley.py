@@ -22,8 +22,6 @@ from xnesyl.shapley import (
     _exact_from_values,
     _sample_masks,
     exact_shap_matrix,
-    exact_shapley,
-    kernel_shap,
     kernel_shap_matrix,
     shap_matrix,
     shap_summary,
@@ -60,7 +58,7 @@ class TestExact:
     def test_constant_model_all_zero(self):
         model = lambda x: np.full((np.asarray(x).shape[0], 2), 0.37)
         bg = BackgroundSet(np.zeros((5, 6)))
-        values = exact_shapley(model, np.ones(6), bg, class_index=0)
+        values = exact_shap_matrix(model, np.ones(6), bg)[0]
         np.testing.assert_allclose(values, 0.0, atol=1e-12)
 
     def test_additive_model_closed_form(self):
@@ -74,7 +72,7 @@ class TestExact:
         b = rng.normal(size=n)
         model = lambda X: (np.asarray(X) @ w)[:, None]
         bg = BackgroundSet(b[None, :])
-        values = exact_shapley(model, x, bg, class_index=0)
+        values = exact_shap_matrix(model, x, bg)[0]
         np.testing.assert_allclose(values, w * (x - b), atol=1e-10)
 
         def coalition_value(coalition):
@@ -100,7 +98,7 @@ class TestExact:
             return float(model(composite)[:, 1].mean())
 
         np.testing.assert_allclose(
-            exact_shapley(model, x, bg, class_index=1),
+            exact_shap_matrix(model, x, bg)[1],
             brute_force_shapley(coalition_value, n),
             atol=1e-10,
         )
@@ -120,7 +118,7 @@ class TestExact:
         x[3] = x[2]
         bg_row = rng.normal(size=n)
         bg_row[3] = bg_row[2]
-        values = exact_shapley(model, x, BackgroundSet(bg_row[None, :]), 0)
+        values = exact_shap_matrix(model, x, BackgroundSet(bg_row[None, :]))[0]
         assert values[2] == pytest.approx(values[3], abs=1e-10)
 
     def test_dummy_axiom(self):
@@ -129,9 +127,9 @@ class TestExact:
         w = rng.normal(size=n)
         w[4] = 0.0
         model = lambda X: (np.asarray(X)[:, :4] @ w[:4])[:, None]
-        values = exact_shapley(
-            model, rng.normal(size=n), BackgroundSet(rng.normal(size=(6, n))), 0
-        )
+        values = exact_shap_matrix(
+            model, rng.normal(size=n), BackgroundSet(rng.normal(size=(6, n)))
+        )[0]
         assert abs(values[4]) <= 1e-12
 
     def test_efficiency(self):
@@ -142,15 +140,15 @@ class TestExact:
             x = rng.normal(size=n)
             bg = BackgroundSet(rng.normal(size=(5, n)))
             k = int(rng.integers(0, 3))
-            values = exact_shapley(model, x, bg, k)
+            values = exact_shap_matrix(model, x, bg)[k]
             span = model(x[None, :])[0, k] - model(bg.vectors)[:, k].mean()
             assert values.sum() == pytest.approx(span, abs=1e-9)
 
     def test_refuses_large_n(self):
         model = lambda x: np.asarray(x).sum(axis=1, keepdims=True)
         bg = BackgroundSet(np.zeros((2, 17)))
-        with pytest.raises(ValidationError, match="kernel_shap"):
-            exact_shapley(model, np.ones(17), bg, 0)
+        with pytest.raises(ValidationError, match="kernel_shap_matrix"):
+            exact_shap_matrix(model, np.ones(17), bg)
 
     def test_bounded_for_probability_models(self):
         rng = np.random.default_rng(5)
@@ -362,6 +360,14 @@ class TestFactoredRoute:
         with pytest.raises(ValidationError, match=f"dim {n}"):
             shap_matrix(clf, x, bg, shap, 4 * n, seed=0)
 
+    @pytest.mark.parametrize("shap", ["exact", "kernel"])
+    def test_non_finite_attributions_raise(self, shap):
+        model = lambda X: np.full((np.asarray(X).shape[0], 3), np.nan)
+        rng = np.random.default_rng(2)
+        bg = BackgroundSet(rng.normal(size=(4, 6)))
+        with pytest.raises(NumericalError, match=f"{shap} attributions are non-finite"):
+            shap_matrix(model, rng.normal(size=6), bg, shap, 24, seed=0)
+
 
 class TestSampleMasks:
     @given(st.integers(2, 80), st.integers(1, 400), st.integers(0, 2**32 - 1))
@@ -417,7 +423,7 @@ class TestKernel:
     def test_constant_model_zero(self):
         model = lambda x: np.full((np.asarray(x).shape[0], 1), 0.2)
         bg = BackgroundSet(np.zeros((3, 9)))
-        values = kernel_shap(model, np.ones(9), bg, 0, num_coalition_samples=64, seed=0)
+        values = kernel_shap_matrix(model, np.ones(9), bg, num_coalition_samples=64, seed=0)[0]
         np.testing.assert_allclose(values, 0.0, atol=1e-9)
 
     def test_deterministic_under_seed(self):
@@ -426,8 +432,8 @@ class TestKernel:
         model = softmax_model(rng.normal(size=(3, n)))
         x = rng.normal(size=n)
         bg = BackgroundSet(rng.normal(size=(5, n)))
-        a = kernel_shap(model, x, bg, 1, 200, seed=42)
-        b = kernel_shap(model, x, bg, 1, 200, seed=42)
+        a = kernel_shap_matrix(model, x, bg, 200, seed=42)[1]
+        b = kernel_shap_matrix(model, x, bg, 200, seed=42)[1]
         np.testing.assert_array_equal(a, b)
 
     def test_efficiency_enforced_when_sampled(self):
@@ -436,7 +442,7 @@ class TestKernel:
         model = softmax_model(rng.normal(size=(2, n)))
         x = rng.normal(size=n)
         bg = BackgroundSet(rng.normal(size=(5, n)))
-        values = kernel_shap(model, x, bg, 0, num_coalition_samples=60, seed=3)
+        values = kernel_shap_matrix(model, x, bg, num_coalition_samples=60, seed=3)[0]
         span = model(x[None, :])[0, 0] - model(bg.vectors)[:, 0].mean()
         assert values.sum() == pytest.approx(span, abs=1e-9)
 
@@ -451,6 +457,7 @@ class TestKernel:
         assert values.shape == (3, n)
         np.testing.assert_allclose(values.sum(axis=1), span, rtol=0, atol=1e-9)
 
+    @settings(deadline=None)
     @given(st.integers(63, 80), st.integers(0, 2**32 - 1))
     def test_large_n_axioms_on_additive_model(self, n, seed):
         # v(S) of an additive model is additive in S, so the weighted
@@ -475,14 +482,14 @@ class TestKernel:
     def test_single_feature(self):
         model = lambda X: (2.0 * np.asarray(X)[:, 0])[:, None]
         bg = BackgroundSet(np.array([[0.5]]))
-        values = kernel_shap(model, np.array([1.5]), bg, 0, 2, seed=0)
+        values = kernel_shap_matrix(model, np.array([1.5]), bg, 2, seed=0)[0]
         assert values[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_too_few_samples_rejected(self):
         model = lambda x: np.asarray(x).sum(axis=1, keepdims=True)
         bg = BackgroundSet(np.zeros((2, 8)))
         with pytest.raises(ValidationError, match="2n"):
-            kernel_shap(model, np.ones(8), bg, 0, 15, seed=0)
+            kernel_shap_matrix(model, np.ones(8), bg, 15, seed=0)
 
     def test_singular_system_reports_condition(self):
         # a background identical to x makes every composite identical, but
@@ -500,7 +507,7 @@ class TestKernel:
         shapley_module._sample_masks = degenerate_masks
         try:
             with pytest.raises(NumericalError, match="condition"):
-                kernel_shap(model, np.ones(4), bg, 0, 8, seed=0)
+                kernel_shap_matrix(model, np.ones(4), bg, 8, seed=0)
         finally:
             shapley_module._sample_masks = original
 

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from xnesyl import shapley as shapley_module
 from xnesyl import training as training_module
 from xnesyl.alignment import WeightScheme
 from xnesyl.datagen import GeneratorConfig, generate_dataset, split_dataset
-from xnesyl.errors import ValidationError
+from xnesyl.errors import NumericalError, ValidationError
 from xnesyl.kg import monumai_kg
 from xnesyl.training import (
     TrainConfig,
@@ -125,6 +126,19 @@ class TestShapBackprop:
         for pw, ps in zip(weighted.classifier.parameters(), standard.classifier.parameters()):
             np.testing.assert_array_equal(pw, ps)
         assert weighted.metrics == standard.metrics
+
+    def test_non_finite_weighting_attributions_raise(self, small_splits, monkeypatch):
+        # the weighting pass goes through shap_matrix, which looks the
+        # estimator up by name and refuses what it returns here
+        kg, splits = small_splits
+
+        def nan_estimator(model, x, bg, num_coalition_samples, seed):
+            return np.full((kg.num_object_classes, x.shape[0]), np.nan)
+
+        monkeypatch.setattr(shapley_module, "kernel_shap_matrix", nan_estimator)
+        cfg = TrainConfig(seed=8, scheme=WeightScheme("linear_instance"), **FAST)
+        with pytest.raises(NumericalError, match="kernel attributions are non-finite"):
+            train_shap_backprop(kg, splits, cfg)
 
     def test_deterministic(self, small_splits):
         kg, splits = small_splits
