@@ -191,22 +191,19 @@ def region_weights(
     return np.asarray(alpha_bbox(beta, scheme))[predicted_parts]
 
 
-def shap_ged(sag: SAG, kg: KnowledgeGraph, one_sided: bool = False) -> int:
+def shap_ged(sag: SAG, kg: KnowledgeGraph) -> int:
     """Edge disagreement between a SAG and the knowledge graph projection.
 
     The projection keeps only expert edges between nodes the SAG itself
-    mentions, so graphs of very different sizes stay comparable. Default
-    counts the symmetric difference (spurious SAG edges plus expected
-    edges the SAG lacks); `one_sided` counts only the spurious ones.
+    mentions, so graphs of very different sizes stay comparable. It counts
+    the symmetric difference: spurious SAG edges plus expected edges the
+    SAG lacks.
     """
     known = set(kg.object_classes) | set(kg.part_classes)
     for label in sag.nodes:
         if label not in known:
             raise ValidationError(f"SAG node {label!r} does not occur in the knowledge graph")
-    projection = project(kg, set(sag.nodes))
-    if one_sided:
-        return len(sag.edges - projection)
-    return len(sag.edges ^ projection)
+    return len(sag.edges ^ project(kg, set(sag.nodes)))
 
 
 def derive_seed(seed: int, *parts: int) -> int:
@@ -250,11 +247,10 @@ def mean_shap_ged(
     ids: list[str],
     kg: KnowledgeGraph,
     background: BackgroundSet,
-    s: float = DETECTION_THRESHOLD,
-    mode: str = "kernel",
-    num_coalition_samples: int = 512,
-    seed: int = 0,
-    one_sided: bool = False,
+    s: float,
+    mode: str,
+    num_coalition_samples: int,
+    seed: int,
 ) -> tuple[float, dict[str, int]]:
     """Mean per-instance graph disagreement over a split.
 
@@ -270,7 +266,7 @@ def mean_shap_ged(
         _, sag = instance_attribution(
             clf, v, index, kg, background, s, mode, num_coalition_samples, seed
         )
-        per_instance[inst_id] = shap_ged(sag, kg, one_sided)
+        per_instance[inst_id] = shap_ged(sag, kg)
     mean = float(np.mean(list(per_instance.values())))
     return mean, per_instance
 

@@ -15,11 +15,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from .alignment import SCHEME_KINDS, WeightScheme, instance_attribution, sag_to_dot, sag_to_json
 from .classifier import load_classifier, save_classifier
@@ -78,10 +81,10 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", required=True)
     gen.add_argument("--count", type=int, required=True)
     gen.add_argument("--seed", type=int, default=None)
-    gen.add_argument("--noise", type=float, default=0.0)
-    gen.add_argument("--dim", type=int, default=8)
-    gen.add_argument("--sep", type=float, default=6.0)
-    gen.add_argument("--regions", default="2:6")
+    gen.add_argument("--noise", type=float, default=GeneratorConfig.noise_rate)
+    gen.add_argument("--dim", type=int, default=GeneratorConfig.feature_dim)
+    gen.add_argument("--sep", type=float, default=GeneratorConfig.separation)
+    gen.add_argument("--regions", default="%d:%d" % GeneratorConfig.regions_per_instance)
     gen.set_defaults(func=_cmd_gen)
 
     train = sub.add_parser("train", help="train and evaluate a run")
@@ -90,7 +93,9 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--out-dir", required=True)
     train.add_argument("--mode", choices=["standard", "shap-backprop"], default="standard")
     train.add_argument("--scheme", choices=sorted(_SCHEME_FLAGS), default=None)
-    train.add_argument("--agg", choices=AGGREGATIONS, default=TrainConfig.aggregation)
+    train.add_argument(
+        "--agg", dest="aggregation", choices=AGGREGATIONS, default=TrainConfig.aggregation
+    )
     train.add_argument("--epochs-det", type=int, default=TrainConfig.epochs_det)
     train.add_argument("--epochs-clf", type=int, default=TrainConfig.epochs_clf)
     train.add_argument("--lr-det", type=float, default=TrainConfig.lr_det)
@@ -98,9 +103,14 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--h", type=float, default=WeightScheme.h)
     train.add_argument("--s", type=float, default=TrainConfig.s)
     train.add_argument("--v-threshold", type=float, default=TrainConfig.v_threshold)
-    train.add_argument("--shap", choices=SHAP_MODES, default=TrainConfig.shap_mode)
+    train.add_argument(
+        "--shap", dest="shap_mode", choices=SHAP_MODES, default=TrainConfig.shap_mode
+    )
     train.add_argument("--shap-samples", type=int, default=TrainConfig.shap_samples)
-    train.add_argument("--bg-size", type=int, default=TrainConfig.background_size)
+    train.add_argument(
+        "--bg-size", dest="background_size", metavar="BG_SIZE", type=int,
+        default=TrainConfig.background_size,
+    )
     train.add_argument("--seed", type=int, default=None)
     train.set_defaults(func=lambda args: _cmd_train(args, train))
 
@@ -141,8 +151,8 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _load_run_dir(checkpoints: str, kg: KnowledgeGraph):
-    """Checkpoints, background and config of a run, checked against the KG scoring them."""
+def _load_run_dir(checkpoints: str, kg: KnowledgeGraph) -> RunArtifacts:
+    """The saved run (models, background, config), checked against the KG scoring it."""
     cp = Path(checkpoints)
     det = load_detector(cp / "detector.json")
     clf = load_classifier(cp / "classifier.json")
@@ -164,7 +174,7 @@ def _load_run_dir(checkpoints: str, kg: KnowledgeGraph):
     report_path = cp / "metrics.json"
     report = read_json_object(report_path, "metrics report", keys=("config",))
     try:
-        return det, clf, background, config_from_echo(report["config"])
+        return RunArtifacts(det, clf, background, config_from_echo(report["config"]))
     except ValidationError as exc:
         raise ValidationError(f"{report_path}: {exc}") from exc
 
@@ -180,19 +190,15 @@ def _cmd_train(args, parser: argparse.ArgumentParser) -> int:
     scheme = None
     if args.scheme is not None:
         scheme = WeightScheme(_SCHEME_FLAGS[args.scheme], args.h)
+    # every other TrainConfig field is the dest of the flag that sets it
     cfg = TrainConfig(
         seed=_resolve_seed(args.seed),
-        epochs_det=args.epochs_det,
-        epochs_clf=args.epochs_clf,
-        lr_det=args.lr_det,
-        lr_clf=args.lr_clf,
         scheme=scheme,
-        s=args.s,
-        v_threshold=args.v_threshold,
-        background_size=args.bg_size,
-        shap_mode=args.shap,
-        shap_samples=args.shap_samples,
-        aggregation=args.agg,
+        **{
+            f.name: getattr(args, f.name)
+            for f in dataclasses.fields(TrainConfig)
+            if f.name not in ("seed", "scheme")
+        },
     )
     runner = train_standard if cfg.scheme is None else train_shap_backprop
     artifacts = runner(kg, splits, cfg)
@@ -215,10 +221,8 @@ def _cmd_train(args, parser: argparse.ArgumentParser) -> int:
 def _cmd_eval(args) -> int:
     kg = load_kg(args.kg)
     test_split = split_dataset(read_dataset(args.data, kg))[2]
-    det, clf, background, cfg = _load_run_dir(args.checkpoints, kg)
-    artifacts = RunArtifacts(det, clf, {}, [], cfg, background)
-    metrics = evaluate(artifacts, test_split, kg)
-    rendered = _render_json({"config": config_echo(cfg), "metrics": metrics})
+    scored = evaluate(_load_run_dir(args.checkpoints, kg), test_split, kg)
+    rendered = _render_json({"config": config_echo(scored.config), "metrics": scored.metrics})
     out_path = Path(args.out) if args.out else Path(args.checkpoints) / "eval_metrics.json"
     out_path.write_text(rendered, encoding="utf-8")
     sys.stdout.write(rendered)
@@ -239,11 +243,12 @@ def _cmd_explain(args) -> int:
     if not located:
         raise ValidationError(f"--instance-id {args.instance_id!r} not found in {args.data}")
     index, inst = located[0]
-    det, clf, background, cfg = _load_run_dir(args.checkpoints, kg)
-    v = descriptors(det, [inst], kg, cfg.aggregation)[0][0]
+    saved = _load_run_dir(args.checkpoints, kg)
+    cfg = saved.config
+    v = descriptors(saved.detector, [inst], kg, cfg.aggregation)[0][0]
     values, sag = instance_attribution(
-        clf, v, index, kg, background, cfg.s, cfg.shap_mode, cfg.shap_samples,
-        shap_eval_seed(cfg),
+        saved.classifier, v, index, kg, saved.background, cfg.s, cfg.shap_mode,
+        cfg.shap_samples, shap_eval_seed(cfg),
     )
     out_dir = Path(args.out_dir) if args.out_dir else Path(args.checkpoints)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -292,8 +297,11 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # every non-finite loss or attribution is caught by an explicit check
+    # (exit 4), so numpy's floating-point warnings would only repeat it
     try:
-        return run(argv)
+        with np.errstate(all="ignore"):
+            return run(argv)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -90,6 +90,8 @@ class GeneratorConfig:
     separation: float = 6.0
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.feature_dim < 2:
             raise ValidationError("feature_dim must be >= 2")
         lo, hi = self.regions_per_instance

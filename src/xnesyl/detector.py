@@ -101,10 +101,6 @@ class DetectionSet:
             raise ValidationError("each detection row must be a probability vector")
         object.__setattr__(self, "probabilities", probs)
 
-    @property
-    def num_regions(self) -> int:
-        return self.probabilities.shape[0]
-
     def predicted_parts(self) -> np.ndarray:
         """Argmax part index per region."""
         return np.argmax(self.probabilities, axis=1)

@@ -17,7 +17,7 @@ with all multipliers at 1 reproduces the standard procedure bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -71,6 +71,8 @@ class TrainConfig:
     aggregation: str = "frcnn"
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.epochs_det < 1 or self.epochs_clf < 1:
             raise ValidationError("epoch counts must be >= 1")
         if not all(np.isfinite(rate) and rate > 0 for rate in (self.lr_det, self.lr_clf)):
@@ -85,14 +87,14 @@ class TrainConfig:
             raise ValidationError("background_size must be >= 1")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunArtifacts:
     detector: PartDetector
     classifier: MLPClassifier
-    metrics: dict
-    per_epoch: list[dict]
-    config: TrainConfig
     background: BackgroundSet
+    config: TrainConfig
+    per_epoch: list[dict] = field(default_factory=list)
+    metrics: dict = field(default_factory=dict)
     ged_per_instance: dict[str, int] = field(default_factory=dict)
 
 
@@ -165,9 +167,7 @@ def _train(
             all_alphas = np.concatenate(list(weights.values()))
             alpha = {"alpha_mean": float(all_alphas.mean()), "alpha_max": float(all_alphas.max())}
         per_epoch.append({"epoch": epoch, "det_loss": det_loss, **alpha})
-    artifacts = RunArtifacts(det, clf, {}, per_epoch, cfg, background)
-    artifacts.metrics = evaluate(artifacts, test_split, kg)
-    return artifacts
+    return evaluate(RunArtifacts(det, clf, background, cfg, per_epoch), test_split, kg)
 
 
 def train_standard(
@@ -225,29 +225,22 @@ def shap_eval_seed(cfg: TrainConfig) -> int:
 
 def evaluate(
     artifacts: RunArtifacts, test_split: list[SceneInstance], kg: KnowledgeGraph
-) -> dict:
-    """Test-split metrics: part accuracy, object accuracy, mean graph distance."""
+) -> RunArtifacts:
+    """A copy of the run with its test-split metrics and per-instance distances."""
     if not test_split:
         raise ValidationError("test split is empty")
     cfg = artifacts.config
     x_test, y_test, predicted = descriptors(artifacts.detector, test_split, kg, cfg.aggregation)
     ged_mean, ged_per_instance = mean_shap_ged(
-        artifacts.classifier,
-        x_test,
-        [inst.id for inst in test_split],
-        kg,
-        artifacts.background,
-        s=cfg.s,
-        mode=cfg.shap_mode,
-        num_coalition_samples=cfg.shap_samples,
-        seed=shap_eval_seed(cfg),
+        artifacts.classifier, x_test, [inst.id for inst in test_split], kg,
+        artifacts.background, cfg.s, cfg.shap_mode, cfg.shap_samples, shap_eval_seed(cfg),
     )
-    artifacts.ged_per_instance = ged_per_instance
-    return {
+    metrics = {
         "part_macro_accuracy": part_macro_accuracy(predicted, test_split, kg),
         "accuracy": accuracy(artifacts.classifier, x_test, y_test),
         "mean_shap_ged": ged_mean,
     }
+    return replace(artifacts, metrics=metrics, ged_per_instance=ged_per_instance)
 
 
 def _integral(value) -> int:
@@ -269,7 +262,7 @@ def config_echo(cfg: TrainConfig) -> dict:
     echo = {name: getattr(cfg, name) for name, _ in _ECHO_FIELDS}
     echo["mode"] = "standard" if cfg.scheme is None else "shap-backprop"
     echo["scheme"] = None if cfg.scheme is None else cfg.scheme.kind
-    echo["h"] = 1.0 if cfg.scheme is None else cfg.scheme.h
+    echo["h"] = WeightScheme.h if cfg.scheme is None else cfg.scheme.h
     return echo
 
 
@@ -278,7 +271,7 @@ def config_from_echo(echo: dict) -> TrainConfig:
     try:
         scheme = None
         if echo.get("scheme"):
-            scheme = WeightScheme(echo["scheme"], float(echo.get("h", 1.0)))
+            scheme = WeightScheme(echo["scheme"], float(echo.get("h", WeightScheme.h)))
         values = {name: cast(echo[name]) for name, cast in _ECHO_FIELDS}
         return TrainConfig(scheme=scheme, **values)
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:

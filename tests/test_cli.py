@@ -1,16 +1,20 @@
 """End-to-end CLI: generation, training, evaluation, explanation, reporting."""
 
+import argparse
+import dataclasses
 import json
 import math
 import re
 import shutil
+import warnings
 
 import numpy as np
 import pytest
 
-from xnesyl.cli import main
-from xnesyl.datagen import read_dataset, split_dataset
+from xnesyl.cli import build_parser, main
+from xnesyl.datagen import GeneratorConfig, read_dataset, split_dataset
 from xnesyl.kg import KnowledgeGraph, dumps_kg, monumai_kg
+from xnesyl.training import TrainConfig
 
 
 @pytest.fixture(scope="module")
@@ -121,7 +125,8 @@ class TestTrain:
 
 
     def test_detector_divergence_exits_4(self, kg_path, run_dir, capsys):
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = main([
                 "train", "--kg", kg_path, "--data", run_dir["data"],
                 "--out-dir", str(run_dir["root"] / "diverged"), "--lr-det", "1e308",
@@ -130,6 +135,7 @@ class TestTrain:
         assert code == 4
         err = capsys.readouterr().err
         assert "detector" in err and "epoch 1" in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 class TestMalformedDataset:
@@ -419,7 +425,8 @@ class TestNonFiniteAttributions:
             "eval": ["--out", str(tmp_path / "eval.json")],
             "explain": ["--instance-id", inst_id, "--out-dir", str(tmp_path)],
         }[command]
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = main([
                 command, "--kg", kg_path, "--data", run_dir["data"],
                 "--checkpoints", str(ckpt), *extra,
@@ -427,6 +434,7 @@ class TestNonFiniteAttributions:
         assert code == 4
         err = capsys.readouterr().err
         assert f"{shap} attributions are non-finite" in err and "Traceback" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 class TestReport:
@@ -476,3 +484,63 @@ class TestSeedFallback:
             "--count", "5",
         ])
         assert code == 3
+
+    @pytest.mark.parametrize("source", ["gen-flag", "train-flag", "train-env", "eval-config"])
+    def test_negative_seed_exits_3(self, kg_path, run_dir, tmp_path, monkeypatch, capsys, source):
+        train = [
+            "train", "--kg", kg_path, "--data", run_dir["data"],
+            "--out-dir", str(tmp_path / "run"), "--epochs-det", "1", "--epochs-clf", "1",
+        ]
+        if source == "gen-flag":
+            argv = ["gen", "--kg", kg_path, "--out", str(tmp_path / "x.jsonl"),
+                    "--count", "5", "--seed", "-1"]
+        elif source == "train-flag":
+            argv = [*train, "--seed", "-3"]
+        elif source == "train-env":
+            monkeypatch.setenv("XNESYL_SEED", "-2")
+            argv = train
+        else:
+            ckpt = tmp_path / "ckpt"
+            shutil.copytree(run_dir["out"], ckpt)
+            doc = _edit("config", lambda cfg: {**cfg, "seed": -1})(
+                json.loads((ckpt / "metrics.json").read_text())
+            )
+            (ckpt / "metrics.json").write_text(json.dumps(doc), encoding="utf-8")
+            argv = ["eval", "--kg", kg_path, "--data", run_dir["data"],
+                    "--checkpoints", str(ckpt)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "seed" in err and "Traceback" not in err
+
+
+def _subparser(name: str) -> argparse.ArgumentParser:
+    (subparsers,) = [
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    return subparsers.choices[name]
+
+
+class TestSettingsDeclaredOnce:
+    def test_flags_bind_to_config_fields(self):
+        train = _subparser("train")
+        dests = [action.dest for action in train._actions]
+        for f in dataclasses.fields(TrainConfig):
+            if f.name not in ("seed", "scheme"):
+                assert dests.count(f.name) == 1, f.name
+        args = train.parse_args(["--kg", "k", "--data", "d", "--out-dir", "o"])
+        rebuilt = TrainConfig(
+            seed=0,
+            **{
+                f.name: getattr(args, f.name)
+                for f in dataclasses.fields(TrainConfig)
+                if f.name not in ("seed", "scheme")
+            },
+        )
+        assert args.scheme is None and rebuilt == TrainConfig(seed=0)
+        args = _subparser("gen").parse_args(["--kg", "k", "--out", "o", "--count", "1"])
+        lo, hi = args.regions.split(":")
+        assert GeneratorConfig(
+            seed=0, feature_dim=args.dim, regions_per_instance=(int(lo), int(hi)),
+            noise_rate=args.noise, separation=args.sep,
+        ) == GeneratorConfig(seed=0)

@@ -1,5 +1,7 @@
 """Training orchestration: determinism, neutrality, traces, evaluation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -174,6 +176,15 @@ class TestEvaluate:
         kg, splits = small_splits
         artifacts = train_standard(kg, splits, TrainConfig(seed=13, **FAST))
         assert set(artifacts.ged_per_instance) == {i.id for i in splits[2]}
+
+    def test_evaluate_returns_the_scored_run(self, small_splits):
+        kg, splits = small_splits
+        trained = train_standard(kg, splits, TrainConfig(seed=13, **FAST))
+        bare = dataclasses.replace(trained, metrics={}, ged_per_instance={})
+        scored = evaluate(bare, splits[2], kg)
+        assert scored.metrics == trained.metrics
+        assert scored.ged_per_instance == trained.ged_per_instance
+        assert bare.metrics == {} and bare.ged_per_instance == {}
 
 
 class TestDetectionPasses:
