@@ -162,33 +162,38 @@ def alpha_instance(
     v: np.ndarray,
     scheme: WeightScheme,
     v_threshold: float = FEATURE_THRESHOLD,
-) -> float:
-    """Single multiplier for a whole instance: the worst per-part alpha."""
+):
+    """Single multiplier for a whole instance: the worst per-part alpha.
+
+    Rows (N, n) give one multiplier per row.
+    """
     beta = misattribution(shap_row, kg_row, v, v_threshold)
-    return float(np.max(alpha_bbox(beta, scheme)))
+    alpha = np.max(alpha_bbox(beta, scheme), axis=-1)
+    return float(alpha) if alpha.ndim == 0 else alpha
 
 
 def region_weights(
-    shap_row: np.ndarray,
-    kg_row: np.ndarray,
+    shap_rows: np.ndarray,
+    kg_rows: np.ndarray,
     v: np.ndarray,
-    predicted_parts: np.ndarray,
+    predicted_parts: list[np.ndarray],
     scheme: WeightScheme,
     v_threshold: float = FEATURE_THRESHOLD,
-) -> np.ndarray:
-    """Per-region loss multipliers for one instance.
+) -> list[np.ndarray]:
+    """Per-region loss multipliers of a stack of N instances, one array each.
 
-    `shap_row` and `kg_row` are the rows for the instance's ground-truth
-    object class. Region-level schemes weight each region by the alpha of
-    its *predicted* part class; instance-level schemes broadcast the
-    instance alpha to every region.
+    Row i of `shap_rows`, `kg_rows` and `v` (each (N, n)) belongs to
+    instance i: its attributions and knowledge-graph row for its
+    ground-truth object class, and its descriptor. Region-level schemes
+    weight each region by the alpha of its *predicted* part class;
+    instance-level schemes broadcast the instance alpha (`alpha_instance`)
+    to every region.
     """
-    predicted_parts = np.asarray(predicted_parts)
     if scheme.instance_level:
-        alpha = alpha_instance(shap_row, kg_row, v, scheme, v_threshold)
-        return np.full(predicted_parts.shape[0], alpha)
-    beta = misattribution(shap_row, kg_row, v, v_threshold)
-    return np.asarray(alpha_bbox(beta, scheme))[predicted_parts]
+        alpha = alpha_instance(shap_rows, kg_rows, v, scheme, v_threshold)
+        return [np.full(len(parts), top) for top, parts in zip(alpha, predicted_parts)]
+    alpha = alpha_bbox(misattribution(shap_rows, kg_rows, v, v_threshold), scheme)
+    return [row[np.asarray(parts)] for row, parts in zip(alpha, predicted_parts)]
 
 
 def shap_ged(sag: SAG, kg: KnowledgeGraph) -> int:

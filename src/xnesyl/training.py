@@ -148,23 +148,24 @@ def _train(
                 x_train, cfg.background_size, derive_seed(cfg.seed, _TAG_BG, epoch)
             )
         if cfg.scheme is not None:
-            weights = {}
-            for index, inst in enumerate(train_split):
-                # always sampled: it scores the whole training split every epoch
-                shap_values = shap_matrix(
-                    clf, x_train[index], background, "kernel", cfg.shap_samples,
-                    seed=derive_seed(cfg.seed, _TAG_SHAP_TRAIN, epoch, index),
-                )
-                k = kg.object_index(inst.gt_object_class)
-                weights[inst.id] = region_weights(
-                    shap_values[k],
-                    kg_matrix[k],
-                    x_train[index],
-                    predicted[index],
-                    cfg.scheme,
-                    cfg.v_threshold,
-                )
-            all_alphas = np.concatenate(list(weights.values()))
+            # always sampled: it scores the whole training split every epoch
+            seeds = [
+                derive_seed(cfg.seed, _TAG_SHAP_TRAIN, epoch, index)
+                for index in range(len(train_split))
+            ]
+            shap_values = shap_matrix(
+                clf, x_train, background, "kernel", cfg.shap_samples, seed=seeds
+            )
+            alphas = region_weights(
+                shap_values[np.arange(len(train_split)), y_train],
+                kg_matrix[y_train],
+                x_train,
+                predicted,
+                cfg.scheme,
+                cfg.v_threshold,
+            )
+            weights = {inst.id: alpha for inst, alpha in zip(train_split, alphas)}
+            all_alphas = np.concatenate(alphas)
             alpha = {"alpha_mean": float(all_alphas.mean()), "alpha_max": float(all_alphas.max())}
         per_epoch.append({"epoch": epoch, "det_loss": det_loss, **alpha})
     return evaluate(RunArtifacts(det, clf, background, cfg, per_epoch), test_split, kg)
@@ -267,13 +268,18 @@ def config_echo(cfg: TrainConfig) -> dict:
 
 
 def config_from_echo(echo: dict) -> TrainConfig:
-    """Inverse of `config_echo`; a missing or ill-typed field is a ValidationError."""
+    """Inverse of `config_echo`; a missing or ill-typed field is a ValidationError.
+
+    A value the config itself rejects keeps the config's own message.
+    """
     try:
         scheme = None
         if echo.get("scheme"):
             scheme = WeightScheme(echo["scheme"], float(echo.get("h", WeightScheme.h)))
         values = {name: cast(echo[name]) for name, cast in _ECHO_FIELDS}
         return TrainConfig(scheme=scheme, **values)
+    except ValidationError:
+        raise
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed run configuration: {exc!r}") from exc
 

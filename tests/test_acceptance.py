@@ -234,8 +234,8 @@ def test_criterion_6_neutrality(monkeypatch):
         background_size=12, shap_mode="kernel", shap_samples=64,
     )
 
-    def unit_weights(shap_row, kg_row, v, predicted_parts, scheme, v_threshold=0.0):
-        return np.ones(np.asarray(predicted_parts).shape[0])
+    def unit_weights(shap_rows, kg_rows, v, predicted_parts, scheme, v_threshold=0.0):
+        return [np.ones(len(parts)) for parts in predicted_parts]
 
     monkeypatch.setattr(training_module, "region_weights", unit_weights)
     weighted = train_shap_backprop(

@@ -155,7 +155,9 @@ class TestRegionWeights:
         shap_row = np.array([0.1, -0.2, 0.3])
         kg_row = np.array([1.0, -1.0, 1.0])
         v = np.array([0.5, 0.5, 0.5])
-        weights = region_weights(shap_row, kg_row, v, np.array([0, 1, 2, 0]), scheme)
+        [weights] = region_weights(
+            shap_row[None], kg_row[None], v[None], [np.array([0, 1, 2, 0])], scheme
+        )
         np.testing.assert_array_equal(weights, np.ones(4))
 
     def test_bbox_weights_follow_predicted_part(self):
@@ -165,7 +167,9 @@ class TestRegionWeights:
         shap_row = np.array([0.1, 0.4, -0.2])
         kg_row = np.array([1.0, -1.0, -1.0])
         v = np.array([0.5, 0.5, 0.5])
-        weights = region_weights(shap_row, kg_row, v, np.array([1, 0, 1]), scheme)
+        [weights] = region_weights(
+            shap_row[None], kg_row[None], v[None], [np.array([1, 0, 1])], scheme
+        )
         np.testing.assert_allclose(weights, [1.4, 1.0, 1.4])
 
     def test_instance_scheme_broadcasts(self):
@@ -173,8 +177,38 @@ class TestRegionWeights:
         shap_row = np.array([0.1, 0.4, -0.2])
         kg_row = np.array([1.0, -1.0, -1.0])
         v = np.array([0.5, 0.5, 0.5])
-        weights = region_weights(shap_row, kg_row, v, np.array([0, 2, 2, 1]), scheme)
+        [weights] = region_weights(
+            shap_row[None], kg_row[None], v[None], [np.array([0, 2, 2, 1])], scheme
+        )
         np.testing.assert_allclose(weights, [1.4, 1.4, 1.4, 1.4])
+
+    @pytest.mark.parametrize("kind", ["linear_bbox", "exp_bbox", "linear_instance", "exp_instance"])
+    @pytest.mark.parametrize("v_threshold", [0.0, 0.4])
+    def test_stack_is_bitwise_per_instance(self, kind, v_threshold):
+        # each instance's multipliers are those of its own alpha_bbox /
+        # alpha_instance, whatever the other instances in the stack are
+        scheme = WeightScheme(kind, h=1.7)
+        rng = np.random.default_rng(3)
+        count, n = 40, 14
+        shap_rows = rng.normal(scale=0.3, size=(count, n))
+        kg_rows = rng.choice([-1.0, 1.0], size=(count, n))
+        v = rng.choice([0.0, 0.2, 0.7, 1.5], size=(count, n))
+        predicted = [rng.integers(0, n, size=rng.integers(1, 9)) for _ in range(count)]
+        stacked = region_weights(shap_rows, kg_rows, v, predicted, scheme, v_threshold)
+        assert len(stacked) == count
+        for i, parts in enumerate(predicted):
+            if scheme.instance_level:
+                alpha = alpha_instance(shap_rows[i], kg_rows[i], v[i], scheme, v_threshold)
+                expected = np.full(len(parts), alpha)
+            else:
+                beta = misattribution(shap_rows[i], kg_rows[i], v[i], v_threshold)
+                expected = np.asarray(alpha_bbox(beta, scheme))[parts]
+            np.testing.assert_array_equal(stacked[i], expected)
+            [alone] = region_weights(
+                shap_rows[i : i + 1], kg_rows[i : i + 1], v[i : i + 1], [parts], scheme,
+                v_threshold,
+            )
+            np.testing.assert_array_equal(alone, expected)
 
 
 class TestShapGed:

@@ -512,6 +512,22 @@ class TestSeedFallback:
         err = capsys.readouterr().err
         assert "seed" in err and "Traceback" not in err
 
+    def test_rejected_config_reports_its_own_message(self, kg_path, run_dir, tmp_path, capsys):
+        # a config that parses but that TrainConfig refuses is reported in
+        # TrainConfig's words, not through the repr of the error
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(run_dir["out"], ckpt)
+        doc = _edit("config", lambda cfg: {**cfg, "seed": -1})(
+            json.loads((ckpt / "metrics.json").read_text())
+        )
+        (ckpt / "metrics.json").write_text(json.dumps(doc), encoding="utf-8")
+        code = main(["eval", "--kg", kg_path, "--data", run_dir["data"],
+                     "--checkpoints", str(ckpt)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "metrics.json: seed must be >= 0, got -1" in err
+        assert "ValidationError(" not in err and "Traceback" not in err
+
 
 def _subparser(name: str) -> argparse.ArgumentParser:
     (subparsers,) = [

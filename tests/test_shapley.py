@@ -23,6 +23,7 @@ from xnesyl.shapley import (
     _sample_masks,
     exact_shap_matrix,
     kernel_shap_matrix,
+    kernel_shap_stack,
     shap_matrix,
     shap_summary,
     write_summary_csv,
@@ -400,6 +401,147 @@ class TestSampleMasks:
         inclusion = weights @ masks / draws
         p = (expected @ sizes) / n
         assert np.all(np.abs(inclusion - p) <= 5 * np.sqrt(p * (1 - p) / draws))
+
+
+def reference_sample_masks(n, num_samples, rng):
+    """The sampler as first written: `rng.choice` for the sizes, a double
+    argsort for the ranks, a void-row `np.unique`."""
+    sizes = np.arange(1, n)
+    size_mass = (n - 1) / (sizes * (n - sizes))
+    draws = rng.choice(sizes, size=num_samples, p=size_mass / size_mass.sum())
+    ranks = rng.random((num_samples, n)).argsort(axis=1).argsort(axis=1)
+    masks = ranks < draws[:, None]
+    packed = np.packbits(masks, axis=1)
+    rows = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, counts = np.unique(rows, return_index=True, return_counts=True)
+    return masks[first], counts.astype(np.float64)
+
+
+class CoarseKeys:
+    """A generator whose subset keys take four values, so ranks tie often;
+    the size draw stays the wrapped generator's own."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+
+    def random(self, size):
+        values = self.rng.random(size)
+        return np.floor(values * 4) / 4 if isinstance(size, tuple) else values
+
+    def choice(self, a, size, p):
+        return self.rng.choice(a, size=size, p=p)
+
+
+class TestSampleMasksMatchReference:
+    """The sampler gives the reference sampler's output for the same stream,
+    mask for mask and weight for weight. A numpy whose `Generator.choice`
+    consumed its stream differently would fail here."""
+
+    @pytest.mark.parametrize("n", [2, 3, 14, 40, 63, 70])
+    def test_matches_reference(self, n):
+        trials = np.random.default_rng(n)
+        for _ in range(60):
+            num_samples = int(trials.integers(1, 400))
+            seed = int(trials.integers(0, 2**63))
+            masks, weights = _sample_masks(n, num_samples, np.random.default_rng(seed))
+            ref_masks, ref_weights = reference_sample_masks(
+                n, num_samples, np.random.default_rng(seed)
+            )
+            np.testing.assert_array_equal(masks, ref_masks)
+            np.testing.assert_array_equal(weights, ref_weights)
+
+    @pytest.mark.parametrize("n", [3, 14, 70])
+    def test_tied_keys_match_reference(self, n):
+        for seed in range(40):
+            masks, weights = _sample_masks(n, 200, CoarseKeys(seed))
+            ref_masks, ref_weights = reference_sample_masks(n, 200, CoarseKeys(seed))
+            np.testing.assert_array_equal(masks, ref_masks)
+            np.testing.assert_array_equal(weights, ref_weights)
+
+
+def e2_shaped_case(rows=30, n=14, bg_rows=16, seed=0):
+    rng = np.random.default_rng(seed)
+    clf = MLPClassifier(
+        tuple(f"class {k}" for k in range(4)),
+        rng.normal(size=(11, n)),
+        rng.normal(scale=0.5, size=11),
+        rng.normal(scale=2.0, size=(4, 11)),
+        rng.normal(size=4),
+    )
+    x = rng.uniform(0.0, 2.0, size=(rows, n))
+    bg = BackgroundSet(rng.uniform(0.0, 2.0, size=(bg_rows, n)))
+    seeds = [int(seed) for seed in rng.integers(0, 2**63, size=rows)]
+    return clf, x, bg, seeds
+
+
+class TestKernelStack:
+    """The stacked estimator gives every row what the one-row call gives it."""
+
+    def assert_rows_are_one_row_calls(self, model, x, bg, samples, seeds):
+        stacked = kernel_shap_stack(model, x, bg, samples, seeds)
+        assert stacked.shape[0] == x.shape[0]
+        span = np.asarray(model(x)) - np.asarray(model(bg.vectors)).mean(axis=0)
+        for row, seed, values, row_span in zip(x, seeds, stacked, span):
+            np.testing.assert_array_equal(
+                values, kernel_shap_matrix(model, row, bg, samples, seed)
+            )
+            assert np.max(np.abs(values.sum(axis=1) - row_span)) <= 1e-9
+        return stacked
+
+    def test_e2_shape(self):
+        clf, x, bg, seeds = e2_shaped_case()
+        self.assert_rows_are_one_row_calls(clf, x, bg, 256, seeds)
+
+    def test_rows_spanning_several_chunks(self):
+        # at bg 100 a row's ~340 unique masks take six chunks
+        clf, x, bg, seeds = e2_shaped_case(rows=5, bg_rows=100, seed=1)
+        self.assert_rows_are_one_row_calls(clf, x, bg, 512, seeds)
+
+    def test_single_row(self):
+        clf, x, bg, seeds = e2_shaped_case(rows=1, seed=2)
+        self.assert_rows_are_one_row_calls(clf, x, bg, 256, seeds)
+
+    def test_single_feature(self):
+        clf, x, bg, seeds = e2_shaped_case(rows=4, n=1, seed=3)
+        stacked = self.assert_rows_are_one_row_calls(clf, x, bg, 2, seeds)
+        assert stacked.shape == (4, 4, 1)
+
+    def test_enumeration_branch(self):
+        clf, x, bg, seeds = e2_shaped_case(rows=3, n=6, bg_rows=5, seed=4)
+        stacked = self.assert_rows_are_one_row_calls(clf, x, bg, 62, seeds)
+        for row, values in zip(x, stacked):
+            assert np.abs(values - exact_shap_matrix(clf, row, bg)).max() <= 1e-9
+
+    def test_black_box(self):
+        clf, x, bg, seeds = e2_shaped_case(rows=6, n=9, bg_rows=4, seed=5)
+        model = lambda X: clf.predict_proba(X)
+        stacked = self.assert_rows_are_one_row_calls(model, x, bg, 90, seeds)
+        np.testing.assert_allclose(
+            stacked, kernel_shap_stack(clf, x, bg, 90, seeds), rtol=0, atol=1e-12
+        )
+
+    def test_too_few_samples_rejected(self):
+        clf, x, bg, seeds = e2_shaped_case(rows=3)
+        with pytest.raises(ValidationError, match="2n = 28"):
+            kernel_shap_stack(clf, x, bg, 27, seeds)
+
+    def test_one_seed_per_row(self):
+        clf, x, bg, seeds = e2_shaped_case(rows=3)
+        with pytest.raises(ValidationError, match="one seed per descriptor"):
+            kernel_shap_stack(clf, x, bg, 64, seeds[:2])
+
+    def test_non_finite_attributions_raise(self):
+        model = lambda X: np.full((np.asarray(X).shape[0], 3), np.nan)
+        rng = np.random.default_rng(2)
+        bg = BackgroundSet(rng.normal(size=(4, 6)))
+        with pytest.raises(NumericalError, match="kernel attributions are non-finite"):
+            shap_matrix(model, rng.normal(size=(5, 6)), bg, "kernel", 24, seed=list(range(5)))
+
+    def test_shap_matrix_stack_is_its_rows(self):
+        clf, x, bg, seeds = e2_shaped_case(rows=3, n=8, bg_rows=4, seed=6)
+        stacked = shap_matrix(clf, x, bg, "kernel", 64, seeds)
+        for row, seed, values in zip(x, seeds, stacked):
+            np.testing.assert_array_equal(values, shap_matrix(clf, row, bg, "kernel", 64, seed))
 
 
 class TestKernel:

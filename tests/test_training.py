@@ -11,6 +11,7 @@ from xnesyl.alignment import WeightScheme
 from xnesyl.datagen import GeneratorConfig, generate_dataset, split_dataset
 from xnesyl.errors import NumericalError, ValidationError
 from xnesyl.kg import monumai_kg
+from xnesyl.shapley import kernel_shap_matrix, kernel_shap_stack
 from xnesyl.training import (
     TrainConfig,
     config_echo,
@@ -115,8 +116,8 @@ class TestShapBackprop:
         # same final classifier seed, same evaluation
         kg, splits = small_splits
 
-        def unit_weights(shap_row, kg_row, v, predicted_parts, scheme, v_threshold=0.0):
-            return np.ones(np.asarray(predicted_parts).shape[0])
+        def unit_weights(shap_rows, kg_rows, v, predicted_parts, scheme, v_threshold=0.0):
+            return [np.ones(len(parts)) for parts in predicted_parts]
 
         monkeypatch.setattr(training_module, "region_weights", unit_weights)
         cfg_sbp = TrainConfig(seed=9, scheme=WeightScheme("linear_instance"), **FAST)
@@ -134,13 +135,39 @@ class TestShapBackprop:
         # estimator up by name and refuses what it returns here
         kg, splits = small_splits
 
-        def nan_estimator(model, x, bg, num_coalition_samples, seed):
-            return np.full((kg.num_object_classes, x.shape[0]), np.nan)
+        def nan_estimator(model, x, bg, num_coalition_samples, seeds):
+            return np.full((x.shape[0], kg.num_object_classes, x.shape[1]), np.nan)
 
-        monkeypatch.setattr(shapley_module, "kernel_shap_matrix", nan_estimator)
+        monkeypatch.setattr(shapley_module, "kernel_shap_stack", nan_estimator)
         cfg = TrainConfig(seed=8, scheme=WeightScheme("linear_instance"), **FAST)
         with pytest.raises(NumericalError, match="kernel attributions are non-finite"):
             train_shap_backprop(kg, splits, cfg)
+
+    def test_weighting_attributions_are_efficient_per_row(self, small_splits, monkeypatch):
+        # each epoch scores the training split in one stacked call; every
+        # row must be the one-row estimate and sum to f(x) - mean f(bg)
+        kg, splits = small_splits
+        calls = []
+
+        def recording_stack(model, x, bg, num_coalition_samples, seeds):
+            shap = kernel_shap_stack(model, x, bg, num_coalition_samples, seeds)
+            calls.append((model, x, bg, seeds, shap))
+            return shap
+
+        monkeypatch.setattr(shapley_module, "kernel_shap_stack", recording_stack)
+        # exact scoring keeps the evaluation's calls out of the record
+        fast = {**FAST, "shap_mode": "exact"}
+        cfg = TrainConfig(seed=11, scheme=WeightScheme("linear_bbox"), **fast)
+        train_shap_backprop(kg, splits, cfg)
+        monkeypatch.undo()  # the one-row calls below go through the stack too
+        assert len(calls) == cfg.epochs_det
+        for model, x, bg, seeds, shap in calls:
+            assert shap.shape[0] == len(splits[0])
+            span = model(x) - model(bg.vectors).mean(axis=0)
+            assert np.max(np.abs(shap.sum(axis=2) - span)) <= 1e-9
+            for row, seed, values in zip(x, seeds, shap):
+                one_row = kernel_shap_matrix(model, row, bg, cfg.shap_samples, seed)
+                np.testing.assert_array_equal(values, one_row)
 
     def test_deterministic(self, small_splits):
         kg, splits = small_splits
