@@ -6,9 +6,9 @@ metrics report, `eval` re-scores checkpoints on a dataset, `explain`
 emits the attribution graph artifacts for one instance, and `report`
 tabulates metrics across run directories.
 
-Exit codes: 0 success, 2 usage error, 3 input validation error,
-4 numerical failure. XNESYL_SEED serves as a fallback seed when --seed
-is not given.
+Exit codes: 0 success, 2 usage error, 3 input validation error or a
+path the OS refused, 4 numerical failure. XNESYL_SEED serves as a
+fallback seed when --seed is not given.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .datagen import GeneratorConfig, generate_dataset, read_dataset, split_data
 from .detector import AGGREGATIONS, load_detector, save_detector
 from .errors import NumericalError, ValidationError, read_json_array, read_json_object
 from .kg import KnowledgeGraph, load_kg
-from .shapley import SHAP_MODES, BackgroundSet, shap_summary, write_summary_csv
+from .shapley import SHAP_MODES, BackgroundSet
 from .training import (
     RunArtifacts,
     TrainConfig,
@@ -255,11 +255,16 @@ def _cmd_explain(args) -> int:
     stem = f"sag-{inst.id}"
     (out_dir / f"{stem}.dot").write_text(sag_to_dot(sag, kg), encoding="utf-8")
     (out_dir / f"{stem}.json").write_text(sag_to_json(sag), encoding="utf-8")
-    summaries = [
-        shap_summary(values[None, :, :], v[None, :], kg, label)
-        for label in kg.object_classes
-    ]
-    write_summary_csv(summaries, out_dir / f"{stem}.csv")
+    # class-major in KG order, then parts in KG order; exact reprs of
+    # Python floats (numpy 2 would print np.float64(...))
+    with (out_dir / f"{stem}.csv").open("w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["part", "feature_value", "shap_value", "class"])
+        for k, label in enumerate(kg.object_classes):
+            writer.writerows(
+                [part, repr(float(v[j])), repr(float(values[k, j])), label]
+                for j, part in enumerate(kg.part_classes)
+            )
     print(f"wrote {stem}.dot, {stem}.json, {stem}.csv to {out_dir}")
     return 0
 
@@ -308,6 +313,11 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
+    except OSError as exc:
+        # a path the OS refused, such as an output under a missing directory
+        where = f"{exc.filename}: " if exc.filename is not None else ""
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -148,8 +148,13 @@ def generate_dataset(
     """
     if count < 1:
         raise ValidationError("count must be >= 1")
-    for obj in kg.object_classes:
-        if not kg.typical_parts(obj) and cfg.noise_rate < 1.0:
+    # (typical, atypical, unique) parts depend only on the class
+    parts_of = {
+        obj: (kg.typical_parts(obj), kg.atypical_parts(obj), set(kg.unique_parts(obj)))
+        for obj in kg.object_classes
+    }
+    for obj, (typical, _, _) in parts_of.items():
+        if not typical and cfg.noise_rate < 1.0:
             raise ValidationError(
                 f"object class {obj!r} has no typical parts; cannot generate clean regions"
             )
@@ -159,9 +164,7 @@ def generate_dataset(
     instances: list[SceneInstance] = []
     for i in range(count):
         obj = kg.object_classes[rng.integers(0, kg.num_object_classes)]
-        typical = kg.typical_parts(obj)
-        atypical = kg.atypical_parts(obj)
-        unique = set(kg.unique_parts(obj))
+        typical, atypical, unique = parts_of[obj]
         n_regions = int(rng.integers(lo, hi + 1))
         parts: list[str] = []
         clean: list[bool] = []

@@ -47,11 +47,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class KnowledgeGraph:
-    """Immutable bipartite typical-of relation between parts and object classes.
-
-    Frozen so instances can be shared read-only across concurrent
-    evaluation workers; every operation on it is pure.
-    """
+    """Immutable bipartite typical-of relation between parts and object classes."""
 
     object_classes: tuple[str, ...]
     part_classes: tuple[str, ...]

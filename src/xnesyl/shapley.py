@@ -40,17 +40,14 @@ the tests hold both structured ones to (1e-12).
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Protocol
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .kg import KnowledgeGraph
 
 __all__ = [
     "BackgroundSet",
@@ -61,9 +58,6 @@ __all__ = [
     "kernel_shap_matrix",
     "kernel_shap_stack",
     "shap_matrix",
-    "ShapSummary",
-    "shap_summary",
-    "write_summary_csv",
 ]
 
 # A model is a batched callable: (B, n) descriptor rows -> (B, m) outputs.
@@ -492,59 +486,3 @@ def shap_matrix(
     if not np.all(np.isfinite(values)):
         raise NumericalError(f"{mode} attributions are non-finite")
     return values
-
-
-@dataclass(frozen=True)
-class ShapSummary:
-    """Per-part attribution distribution for one object class over a dataset."""
-
-    class_label: str
-    parts: tuple[str, ...]
-    pairs: dict[str, list[tuple[float, float]]]  # part -> [(shap, feature)]
-    mean_abs: dict[str, float]
-    ranking: tuple[str, ...]  # parts by decreasing mean |shap|
-
-
-def shap_summary(
-    shap_values: np.ndarray,
-    descriptors: np.ndarray,
-    kg: KnowledgeGraph,
-    class_label: str,
-) -> ShapSummary:
-    """Summarize attributions toward one class across instances.
-
-    shap_values: (N, m, n); descriptors: (N, n). Parts the model never
-    moves on get mean |shap| 0 and rank last.
-    """
-    shap_values = np.asarray(shap_values, dtype=np.float64)
-    descriptors = np.asarray(descriptors, dtype=np.float64)
-    if shap_values.ndim != 3 or shap_values.shape[0] == 0:
-        raise ValidationError("shap_values must be a non-empty (N, m, n) array")
-    if descriptors.shape != (shap_values.shape[0], shap_values.shape[2]):
-        raise ValidationError("descriptors must align with shap_values instances")
-    k = kg.object_index(class_label)
-    rows = shap_values[:, k, :]
-    pairs = {
-        part: [(float(rows[i, j]), float(descriptors[i, j])) for i in range(rows.shape[0])]
-        for j, part in enumerate(kg.part_classes)
-    }
-    mean_abs = {
-        part: float(np.mean(np.abs(rows[:, j]))) for j, part in enumerate(kg.part_classes)
-    }
-    ranking = tuple(
-        sorted(kg.part_classes, key=lambda part: (-mean_abs[part], kg.part_index(part)))
-    )
-    return ShapSummary(class_label, kg.part_classes, pairs, mean_abs, ranking)
-
-
-def write_summary_csv(summaries: list[ShapSummary], path: str | Path) -> None:
-    """Emit (part, feature_value, shap_value, class) rows for external plotting."""
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["part", "feature_value", "shap_value", "class"])
-        for summary in summaries:
-            for part in summary.parts:
-                for shap_value, feature_value in summary.pairs[part]:
-                    writer.writerow(
-                        [part, repr(feature_value), repr(shap_value), summary.class_label]
-                    )

@@ -379,6 +379,45 @@ class TestExplain:
         assert len(rows) == kg.num_object_classes * kg.num_parts
         assert {r["class"] for r in rows} == set(kg.object_classes)
 
+    def test_csv_rows_are_exact_attributions(self, kg_path, run_dir, tmp_path):
+        import csv
+
+        from xnesyl.alignment import instance_attribution
+        from xnesyl.detector import load_detector
+        from xnesyl.classifier import load_classifier
+        from xnesyl.shapley import BackgroundSet
+        from xnesyl.training import config_from_echo, descriptors, shap_eval_seed
+
+        kg = monumai_kg()
+        ckpt = run_dir["root"] / "ckpt"
+        # a test instance past the first, so its seed comes from its position
+        index, inst = 1, split_dataset(read_dataset(run_dir["data"], kg))[2][1]
+        assert main([
+            "explain", "--kg", kg_path, "--data", run_dir["data"],
+            "--checkpoints", run_dir["out"], "--instance-id", inst.id,
+            "--out-dir", str(tmp_path),
+        ]) == 0
+        with open(tmp_path / f"sag-{inst.id}.csv", newline="") as handle:
+            rows = list(csv.reader(handle))
+
+        cfg = config_from_echo(json.loads((ckpt / "metrics.json").read_text())["config"])
+        background = BackgroundSet(
+            np.array(json.loads((ckpt / "background.json").read_text())["vectors"])
+        )
+        v = descriptors(load_detector(ckpt / "detector.json"), [inst], kg, cfg.aggregation)[0][0]
+        values, _ = instance_attribution(
+            load_classifier(ckpt / "classifier.json"), v, index, kg, background, cfg.s,
+            cfg.shap_mode, cfg.shap_samples, shap_eval_seed(cfg),
+        )
+        assert rows[0] == ["part", "feature_value", "shap_value", "class"]
+        # class-major in KG order, then parts in KG order; values read back exactly
+        expected = [
+            (part, float(v[j]), float(values[k, j]), label)
+            for k, label in enumerate(kg.object_classes)
+            for j, part in enumerate(kg.part_classes)
+        ]
+        assert [(p, float(f), float(x), c) for p, f, x, c in rows[1:]] == expected
+
 
 class TestCheckpointAgainstKg:
     @pytest.mark.parametrize("command", ["eval", "explain"])
@@ -462,6 +501,42 @@ class TestReport:
 
     def test_missing_runs_dir(self, tmp_path):
         assert main(["report", "--runs", str(tmp_path / "none")]) == 3
+
+
+class TestUnwritableOutput:
+    """An output path the OS refuses exits 3 with one line naming it."""
+
+    @pytest.mark.parametrize("command", ["gen", "train", "eval", "explain", "report"])
+    def test_exits_3_naming_the_path(self, kg_path, run_dir, tmp_path, capsys, command):
+        missing = str(tmp_path / "nodir" / "out")
+        blocker = tmp_path / "file"
+        blocker.write_text("keep\n", encoding="utf-8")
+        inst_id = read_dataset(run_dir["data"], monumai_kg())[0].id
+        runs = tmp_path / "runs"
+        shutil.copytree(run_dir["out"], runs / "run-a")
+        argv, path = {
+            "gen": (["gen", "--kg", kg_path, "--count", "5", "--out", missing], missing),
+            "train": ([
+                "train", "--kg", kg_path, "--data", run_dir["data"],
+                "--out-dir", str(blocker), "--epochs-det", "1", "--epochs-clf", "2",
+                "--shap", "exact", "--bg-size", "4",
+            ], str(blocker)),
+            "eval": ([
+                "eval", "--kg", kg_path, "--data", run_dir["data"],
+                "--checkpoints", run_dir["out"], "--out", missing,
+            ], missing),
+            "explain": ([
+                "explain", "--kg", kg_path, "--data", run_dir["data"],
+                "--checkpoints", run_dir["out"], "--instance-id", inst_id,
+                "--out-dir", str(blocker),
+            ], str(blocker)),
+            "report": (["report", "--runs", str(runs), "--out", missing], missing),
+        }[command]
+        capsys.readouterr()
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and path in err and len(err.splitlines()) == 1
+        assert blocker.read_text(encoding="utf-8") == "keep\n"
 
 
 class TestSeedFallback:
