@@ -379,7 +379,9 @@ class TestExplain:
         assert len(rows) == kg.num_object_classes * kg.num_parts
         assert {r["class"] for r in rows} == set(kg.object_classes)
 
-    def test_csv_rows_are_exact_attributions(self, kg_path, run_dir, tmp_path):
+    def _explain_csv(self, kg_path, run_dir, tmp_path):
+        """Run explain on a test instance past the first (so its seed comes from
+        its position) and return its CSV rows with the attributions it must hold."""
         import csv
 
         from xnesyl.alignment import instance_attribution
@@ -390,7 +392,6 @@ class TestExplain:
 
         kg = monumai_kg()
         ckpt = run_dir["root"] / "ckpt"
-        # a test instance past the first, so its seed comes from its position
         index, inst = 1, split_dataset(read_dataset(run_dir["data"], kg))[2][1]
         assert main([
             "explain", "--kg", kg_path, "--data", run_dir["data"],
@@ -409,14 +410,29 @@ class TestExplain:
             load_classifier(ckpt / "classifier.json"), v, index, kg, background, cfg.s,
             cfg.shap_mode, cfg.shap_samples, shap_eval_seed(cfg),
         )
+        return kg, rows, v, values
+
+    def test_single_instance_reproduces_row(self, kg_path, run_dir, tmp_path):
+        kg, rows, v, values = self._explain_csv(kg_path, run_dir, tmp_path)
         assert rows[0] == ["part", "feature_value", "shap_value", "class"]
-        # class-major in KG order, then parts in KG order; values read back exactly
+        # class-major in KG order, then parts in KG order
         expected = [
             (part, float(v[j]), float(values[k, j]), label)
             for k, label in enumerate(kg.object_classes)
             for j, part in enumerate(kg.part_classes)
         ]
         assert [(p, float(f), float(x), c) for p, f, x, c in rows[1:]] == expected
+
+    def test_csv_round_trips_values(self, kg_path, run_dir, tmp_path):
+        kg, rows, v, values = self._explain_csv(kg_path, run_dir, tmp_path)
+        assert len(rows) == 1 + kg.num_object_classes * kg.num_parts
+        # every value is written as the exact repr of a Python float
+        for i, (part, feature, shap, label) in enumerate(rows[1:]):
+            k, j = divmod(i, kg.num_parts)
+            assert (part, label) == (kg.part_classes[j], kg.object_classes[k])
+            assert feature == repr(float(v[j]))
+            assert shap == repr(float(values[k, j]))
+            assert float(shap) == values[k, j]
 
 
 class TestCheckpointAgainstKg:
