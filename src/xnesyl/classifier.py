@@ -1,6 +1,6 @@
 """Stage two: a small MLP mapping part descriptors to object-class probabilities.
 
-One hidden rectifier layer (11 units by default), softmax output,
+One hidden rectifier layer (HIDDEN_UNITS = 11), softmax output,
 trained by mini-batch SGD with momentum on cross-entropy. Gradients are
 exact and finite-difference checked in the test suite; the whole model
 stays in plain numpy so every number is auditable.
@@ -30,6 +30,8 @@ __all__ = [
 ]
 
 HIDDEN_UNITS = 11
+BATCH_SIZE = 32  # descriptors per SGD step
+MOMENTUM = 0.9
 
 
 @dataclass
@@ -41,16 +43,14 @@ class MLPClassifier:
     b2: np.ndarray  # (m,)
 
     @classmethod
-    def create(
-        cls, kg: KnowledgeGraph, hidden: int = HIDDEN_UNITS, seed: int = 0
-    ) -> "MLPClassifier":
+    def create(cls, kg: KnowledgeGraph, seed: int) -> "MLPClassifier":
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC1F]))
         n, m = kg.num_parts, kg.num_object_classes
         return cls(
             object_classes=kg.object_classes,
-            w1=rng.normal(0.0, 1.0 / np.sqrt(n), size=(hidden, n)),
-            b1=np.zeros(hidden),
-            w2=rng.normal(0.0, 1.0 / np.sqrt(hidden), size=(m, hidden)),
+            w1=rng.normal(0.0, 1.0 / np.sqrt(n), size=(HIDDEN_UNITS, n)),
+            b1=np.zeros(HIDDEN_UNITS),
+            w2=rng.normal(0.0, 1.0 / np.sqrt(HIDDEN_UNITS), size=(m, HIDDEN_UNITS)),
             b2=np.zeros(m),
         )
 
@@ -141,8 +141,6 @@ def train_classifier(
     epochs: int,
     learning_rate: float,
     seed: int,
-    batch_size: int = 32,
-    momentum: float = 0.9,
 ) -> MLPClassifier:
     """Mini-batch SGD with momentum; deterministic given the seed.
 
@@ -161,13 +159,13 @@ def train_classifier(
     for epoch in range(1, epochs + 1):
         order = rng.permutation(count)
         epoch_loss = 0.0
-        for start in range(0, count, batch_size):
-            idx = order[start : start + batch_size]
+        for start in range(0, count, BATCH_SIZE):
+            idx = order[start : start + BATCH_SIZE]
             loss, grads = loss_and_grad(model, descriptors[idx], labels[idx])
             epoch_loss += loss * len(idx)
             params = model.parameters()
             for p, vel, g in zip(params, velocity, grads):
-                vel *= momentum
+                vel *= MOMENTUM
                 vel -= learning_rate * g
                 p += vel
         if not np.isfinite(epoch_loss):

@@ -172,7 +172,7 @@ def _load_run_dir(checkpoints: str, kg: KnowledgeGraph) -> RunArtifacts:
     bg_doc = read_json_object(bg_path, "attribution background", "background", ("vectors",))
     background = BackgroundSet(read_json_array(bg_path, bg_doc, "vectors", (None, kg.num_parts)))
     report_path = cp / "metrics.json"
-    report = read_json_object(report_path, "metrics report", keys=("config",))
+    report = read_json_object(report_path, "metrics report", None, ("config",))
     try:
         return RunArtifacts(det, clf, background, config_from_echo(report["config"]))
     except ValidationError as exc:
@@ -200,10 +200,11 @@ def _cmd_train(args, parser: argparse.ArgumentParser) -> int:
             if f.name not in ("seed", "scheme")
         },
     )
-    runner = train_standard if cfg.scheme is None else train_shap_backprop
-    artifacts = runner(kg, splits, cfg)
+    # refuse an unusable output path before the run trains, not after
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    runner = train_standard if cfg.scheme is None else train_shap_backprop
+    artifacts = runner(kg, splits, cfg)
     save_detector(artifacts.detector, out / "detector.json")
     save_classifier(artifacts.classifier, out / "classifier.json")
     background = {"kind": "background", "vectors": artifacts.background.vectors.tolist()}
@@ -278,13 +279,14 @@ def _cmd_report(args) -> int:
         report_path = run / "metrics.json"
         if not report_path.exists():
             continue
-        doc = read_json_object(report_path, "metrics report", keys=("config", "metrics"))
+        doc = read_json_object(report_path, "metrics report", None, ("config", "metrics"))
         try:
             cfg, metrics = doc["config"], doc["metrics"]
             scores = [repr(metrics[name]) for name in _REPORT_METRICS]
             rows.append([run.name, cfg["mode"], cfg["scheme"] or "", *scores])
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(f"{report_path}: malformed metrics report: {exc!r}") from exc
+        except (KeyError, TypeError):
+            needed = ", ".join(("mode", "scheme", *_REPORT_METRICS))
+            raise ValidationError(f"{report_path}: metrics report lacks one of {needed}") from None
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(["run", "mode", "scheme", *_REPORT_METRICS])

@@ -205,8 +205,8 @@ def write_dataset(instances: list[SceneInstance], path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
-def read_dataset(path: str | Path, kg: KnowledgeGraph | None = None) -> list[SceneInstance]:
-    """Read a JSONL dataset; validates labels against `kg` when supplied.
+def read_dataset(path: str | Path, kg: KnowledgeGraph) -> list[SceneInstance]:
+    """Read a JSONL dataset whose labels all belong to `kg`.
 
     Rejects, naming file and line, duplicate instance ids (per-id results
     would collide) and regions whose feature dimension differs from the
@@ -233,16 +233,15 @@ def read_dataset(path: str | Path, kg: KnowledgeGraph | None = None) -> list[Sce
                 inst = SceneInstance(doc["id"], doc["object_class"], regions)
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValidationError(f"{p}:{lineno}: missing or malformed field: {exc}") from exc
-            if kg is not None:
-                if inst.gt_object_class not in kg.object_classes:
+            if inst.gt_object_class not in kg.object_classes:
+                raise ValidationError(
+                    f"{p}:{lineno}: unknown object class {inst.gt_object_class!r}"
+                )
+            for r in inst.regions:
+                if r.gt_part_class not in kg.part_classes:
                     raise ValidationError(
-                        f"{p}:{lineno}: unknown object class {inst.gt_object_class!r}"
+                        f"{p}:{lineno}: unknown part class {r.gt_part_class!r}"
                     )
-                for r in inst.regions:
-                    if r.gt_part_class not in kg.part_classes:
-                        raise ValidationError(
-                            f"{p}:{lineno}: unknown part class {r.gt_part_class!r}"
-                        )
             if not isinstance(inst.id, str):
                 raise ValidationError(f"{p}:{lineno}: instance id must be a string")
             if inst.id in id_lines:

@@ -19,7 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from .datagen import SceneInstance
-from .errors import ValidationError, read_json_array, read_json_labels, read_json_object
+from .errors import (
+    NumericalError, ValidationError, read_json_array, read_json_labels, read_json_object,
+)
 from .kg import KnowledgeGraph
 
 __all__ = [
@@ -37,6 +39,7 @@ __all__ = [
 ]
 
 AGGREGATIONS = ("frcnn", "retina")
+BATCH_SIZE = 32  # instances per detector gradient step
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -72,13 +75,14 @@ class PartDetector:
     def probabilities(self, features: np.ndarray) -> np.ndarray:
         """(M, d) feature rows to (M, n) part probability rows."""
         features = np.asarray(features, dtype=np.float64)
-        if features.ndim == 1:
-            features = features[None, :]
         if features.shape[1] != self.feature_dim:
             raise ValidationError(
                 f"features have dim {features.shape[1]}, detector expects {self.feature_dim}"
             )
-        return softmax(features @ self.weights.T + self.bias)
+        probs = softmax(features @ self.weights.T + self.bias)
+        if not np.all(np.isfinite(probs)):
+            raise NumericalError("part detector probabilities are non-finite")
+        return probs
 
     def copy(self) -> "PartDetector":
         return PartDetector(self.part_classes, self.weights.copy(), self.bias.copy())
@@ -181,36 +185,34 @@ def weighted_roi_loss(
 def train_detector_epoch(
     det: PartDetector,
     dataset: list[SceneInstance],
-    region_weights: dict[str, np.ndarray] | None = None,
-    batch_size: int = 32,
-    rng: np.random.Generator | None = None,
-    learning_rate: float = 0.5,
+    region_weights: list[np.ndarray] | None,
+    rng: np.random.Generator,
+    learning_rate: float,
 ) -> tuple[PartDetector, float]:
     """One full pass of mini-batch gradient descent over the dataset.
 
-    `region_weights` maps instance id to per-region loss multipliers
-    (missing ids default to all-ones). Batch order is the dataset order,
-    shuffled first when an rng is given; with a fixed rng state the pass
-    is fully deterministic. Returns the updated detector and the mean
-    per-region loss observed during the pass.
+    `region_weights` holds each instance's per-region loss multipliers,
+    aligned with `dataset`, or is None for an unweighted pass. Batches of
+    BATCH_SIZE follow the dataset order shuffled by `rng`; with a fixed rng
+    state the pass is fully deterministic. Returns the updated detector
+    and the mean per-region loss observed during the pass.
     """
     if not dataset:
         raise ValidationError("cannot train on an empty dataset")
-    region_weights = region_weights or {}
-    order = np.arange(len(dataset))
-    if rng is not None:
-        rng.shuffle(order)
+    weights = [None] * len(dataset) if region_weights is None else region_weights
+    if len(weights) != len(dataset):
+        raise ValidationError(f"{len(weights)} weight arrays for {len(dataset)} instances")
+    order = rng.permutation(len(dataset))
     updated = det.copy()
     total_loss = 0.0
     total_regions = 0
-    for start in range(0, len(order), batch_size):
-        batch = [dataset[i] for i in order[start : start + batch_size]]
+    for start in range(0, len(dataset), BATCH_SIZE):
         grad_w = np.zeros_like(updated.weights)
         grad_b = np.zeros_like(updated.bias)
         batch_regions = 0
-        for inst in batch:
-            w = region_weights.get(inst.id)
-            loss, (gw, gb) = weighted_roi_loss(updated, inst, w)
+        for i in order[start : start + BATCH_SIZE]:
+            inst = dataset[i]
+            loss, (gw, gb) = weighted_roi_loss(updated, inst, weights[i])
             grad_w += gw
             grad_b += gb
             total_loss += loss

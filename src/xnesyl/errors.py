@@ -23,9 +23,9 @@ class NumericalError(ArithmeticError):
 
 
 def read_json_object(
-    path: str | Path, what: str, kind: str | None = None, keys: tuple[str, ...] = ()
+    path: str | Path, what: str, kind: str | None, keys: tuple[str, ...]
 ) -> dict:
-    """A JSON object file holding `keys` (and `"kind": kind` when given).
+    """A JSON object file holding `keys` (and `"kind": kind` unless kind is None).
 
     Every failure, from a missing file to a missing key, is a
     ValidationError whose message names the file.

@@ -54,8 +54,8 @@ class KnowledgeGraph:
     typical_of: frozenset[tuple[str, str]]
 
     # index lookups, built once in __post_init__
-    _object_index: dict[str, int] = field(default_factory=dict, repr=False, compare=False)
-    _part_index: dict[str, int] = field(default_factory=dict, repr=False, compare=False)
+    _object_index: dict[str, int] = field(init=False, repr=False, compare=False)
+    _part_index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "object_classes", tuple(self.object_classes))

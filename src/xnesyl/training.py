@@ -123,13 +123,13 @@ def _train(
         raise ValidationError("training split is empty")
     kg_matrix = attribution_matrix(kg)
     det = PartDetector.create(kg, train_split[0].regions[0].features.shape[0])
-    weights: dict[str, np.ndarray] = {}
+    weights: list[np.ndarray] | None = None  # the previous epoch's multipliers
     per_epoch: list[dict] = []
     for epoch in range(1, cfg.epochs_det + 1):
         det, det_loss = train_detector_epoch(
             det,
             train_split,
-            weights or None,
+            weights,
             rng=_derived_rng(cfg.seed, _TAG_BATCH, epoch),
             learning_rate=cfg.lr_det,
         )
@@ -156,7 +156,7 @@ def _train(
             shap_values = shap_matrix(
                 clf, x_train, background, "kernel", cfg.shap_samples, seed=seeds
             )
-            alphas = region_weights(
+            weights = region_weights(
                 shap_values[np.arange(len(train_split)), y_train],
                 kg_matrix[y_train],
                 x_train,
@@ -164,8 +164,7 @@ def _train(
                 cfg.scheme,
                 cfg.v_threshold,
             )
-            weights = {inst.id: alpha for inst, alpha in zip(train_split, alphas)}
-            all_alphas = np.concatenate(alphas)
+            all_alphas = np.concatenate(weights)
             alpha = {"alpha_mean": float(all_alphas.mean()), "alpha_max": float(all_alphas.max())}
         per_epoch.append({"epoch": epoch, "det_loss": det_loss, **alpha})
     return evaluate(RunArtifacts(det, clf, background, cfg, per_epoch), test_split, kg)
@@ -268,20 +267,23 @@ def config_echo(cfg: TrainConfig) -> dict:
 
 
 def config_from_echo(echo: dict) -> TrainConfig:
-    """Inverse of `config_echo`; a missing or ill-typed field is a ValidationError.
+    """Inverse of `config_echo`; a missing or ill-typed field is a ValidationError naming it.
 
     A value the config itself rejects keeps the config's own message.
     """
-    try:
-        scheme = None
-        if echo.get("scheme"):
-            scheme = WeightScheme(echo["scheme"], float(echo.get("h", WeightScheme.h)))
-        values = {name: cast(echo[name]) for name, cast in _ECHO_FIELDS}
-        return TrainConfig(scheme=scheme, **values)
-    except ValidationError:
-        raise
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed run configuration: {exc!r}") from exc
+    if not isinstance(echo, dict):
+        raise ValidationError("malformed run configuration: not a JSON object")
+    echo = {"h": WeightScheme.h, **echo}
+    values = {}
+    for name, cast in (*_ECHO_FIELDS, ("h", float)):
+        try:
+            values[name] = cast(echo[name])
+        except (KeyError, OverflowError, TypeError, ValueError):
+            problem = "ill-typed" if name in echo else "missing"
+            raise ValidationError(f"malformed run configuration: {name} is {problem}") from None
+    h = values.pop("h")
+    scheme = WeightScheme(echo["scheme"], h) if echo.get("scheme") else None
+    return TrainConfig(scheme=scheme, **values)
 
 
 def metrics_report(artifacts: RunArtifacts) -> dict:

@@ -492,6 +492,32 @@ class TestNonFiniteAttributions:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+class TestNonFiniteDetections:
+    # detector weights at 1e308 are finite, so the checkpoint reads cleanly,
+    # but the region logits overflow and the part probabilities with them
+    @pytest.mark.parametrize("command", ["eval", "explain"])
+    def test_exits_4(self, kg_path, run_dir, tmp_path, capsys, command):
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(run_dir["out"], ckpt)
+        change = _edit("weights", lambda a: [[1e308] * len(row) for row in a])
+        doc = change(json.loads((ckpt / "detector.json").read_text()))
+        (ckpt / "detector.json").write_text(json.dumps(doc), encoding="utf-8")
+        inst_id = split_dataset(read_dataset(run_dir["data"], monumai_kg()))[2][0].id
+        extra = {
+            "eval": ["--out", str(tmp_path / "eval.json")],
+            "explain": ["--instance-id", inst_id, "--out-dir", str(tmp_path)],
+        }[command]
+        code = main([
+            command, "--kg", kg_path, "--data", run_dir["data"],
+            "--checkpoints", str(ckpt), *extra,
+        ])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "numerical failure: part detector probabilities are non-finite"
+        ]
+
+
 class TestReport:
     def test_tabulates_runs(self, kg_path, run_dir, tmp_path, capsys):
         runs = tmp_path / "runs"
@@ -553,6 +579,55 @@ class TestUnwritableOutput:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and path in err and len(err.splitlines()) == 1
         assert blocker.read_text(encoding="utf-8") == "keep\n"
+
+
+    def test_train_refuses_a_file_before_training(
+        self, kg_path, run_dir, tmp_path, capsys, detect_calls
+    ):
+        blocker = tmp_path / "file"
+        blocker.write_text("keep\n", encoding="utf-8")
+        detect_calls.clear()
+        code = main([
+            "train", "--kg", kg_path, "--data", run_dir["data"],
+            "--out-dir", str(blocker), "--epochs-det", "1", "--epochs-clf", "2",
+            "--shap", "exact", "--bg-size", "4",
+        ])
+        assert code == 3
+        assert len(detect_calls) == 0
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(blocker) in err
+        assert blocker.read_text(encoding="utf-8") == "keep\n"
+
+
+class TestMalformedConfigField:
+    """A missing or ill-typed field of a saved run's config is named in plain words."""
+
+    # `value` replaces the field, or None to delete it
+    @pytest.mark.parametrize(
+        "command, field, value",
+        [("eval", "epochs_det", None), ("eval", "lr_clf", "fast"), ("report", "mode", None)],
+        ids=["eval-missing", "eval-ill-typed", "report-missing"],
+    )
+    def test_exits_3_naming_the_field(
+        self, kg_path, run_dir, tmp_path, capsys, command, field, value
+    ):
+        ckpt = tmp_path / "runs" / "ckpt"
+        shutil.copytree(run_dir["out"], ckpt)
+        doc = json.loads((ckpt / "metrics.json").read_text())
+        if value is None:
+            del doc["config"][field]
+        else:
+            doc["config"][field] = value
+        (ckpt / "metrics.json").write_text(json.dumps(doc), encoding="utf-8")
+        argv = {
+            "eval": ["eval", "--kg", kg_path, "--data", run_dir["data"],
+                     "--checkpoints", str(ckpt), "--out", str(tmp_path / "eval.json")],
+            "report": ["report", "--runs", str(tmp_path / "runs")],
+        }[command]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "metrics.json" in err and field in err
+        assert "Error(" not in err and len(err.splitlines()) == 1
 
 
 class TestSeedFallback:

@@ -100,10 +100,10 @@ class TestGenerate:
 
 
 class TestRoundTrip:
-    def test_empty_dataset(self, tmp_path):
+    def test_empty_dataset(self, monumai, tmp_path):
         path = tmp_path / "empty.jsonl"
         write_dataset([], path)
-        assert read_dataset(path) == []
+        assert read_dataset(path, monumai) == []
 
     def test_single_instance(self, monumai, tmp_path):
         cfg = GeneratorConfig(seed=1, regions_per_instance=(1, 1))
@@ -135,13 +135,13 @@ class TestRoundTrip:
         with pytest.raises(ValidationError, match=r"2: unknown part class 'flying buttress'"):
             read_dataset(path, monumai)
 
-    def test_malformed_line_reports_line(self, tmp_path):
+    def test_malformed_line_reports_line(self, monumai, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"id": "i0"\n', encoding="utf-8")
         with pytest.raises(ValidationError, match="1: malformed JSON"):
-            read_dataset(path)
+            read_dataset(path, monumai)
 
-    def test_non_numeric_features_report_line(self, tmp_path):
+    def test_non_numeric_features_report_line(self, monumai, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text(
             '{"id": "i0", "object_class": "Gothic", '
@@ -149,7 +149,7 @@ class TestRoundTrip:
             encoding="utf-8",
         )
         with pytest.raises(ValidationError, match="bad.jsonl:1: missing or malformed field"):
-            read_dataset(path)
+            read_dataset(path, monumai)
 
 
 class TestSplit:

@@ -66,7 +66,7 @@ class TestDetect:
         det = PartDetector.create(monumai, 8)
         for epoch in range(1, 9):
             det, _ = train_detector_epoch(
-                det, train, rng=np.random.default_rng(epoch), learning_rate=0.5
+                det, train, None, rng=np.random.default_rng(epoch), learning_rate=0.5
             )
         correct = total = 0
         for inst in test:
@@ -195,7 +195,9 @@ class TestTrainEpoch:
         det = PartDetector.create(monumai, cfg.feature_dim)
         losses = []
         for epoch in range(4):
-            det, loss = train_detector_epoch(det, data, rng=np.random.default_rng(epoch))
+            det, loss = train_detector_epoch(
+                det, data, None, rng=np.random.default_rng(epoch), learning_rate=0.5
+            )
             losses.append(loss)
         assert losses == sorted(losses, reverse=True)
         assert losses[-1] < losses[0]
@@ -204,9 +206,13 @@ class TestTrainEpoch:
         cfg = GeneratorConfig(seed=31, noise_rate=0.2)
         data = generate_dataset(monumai, cfg, 60)
         det = PartDetector.create(monumai, cfg.feature_dim)
-        ones = {inst.id: np.ones(len(inst.regions)) for inst in data}
-        det_a, loss_a = train_detector_epoch(det, data, None, rng=np.random.default_rng(0))
-        det_b, loss_b = train_detector_epoch(det, data, ones, rng=np.random.default_rng(0))
+        ones = [np.ones(len(inst.regions)) for inst in data]
+        det_a, loss_a = train_detector_epoch(
+            det, data, None, rng=np.random.default_rng(0), learning_rate=0.5
+        )
+        det_b, loss_b = train_detector_epoch(
+            det, data, ones, rng=np.random.default_rng(0), learning_rate=0.5
+        )
         assert loss_a == loss_b
         np.testing.assert_array_equal(det_a.weights, det_b.weights)
         np.testing.assert_array_equal(det_a.bias, det_b.bias)
@@ -214,7 +220,14 @@ class TestTrainEpoch:
     def test_empty_dataset_rejected(self, monumai):
         det = PartDetector.create(monumai, 4)
         with pytest.raises(ValidationError, match="empty"):
-            train_detector_epoch(det, [])
+            train_detector_epoch(det, [], None, rng=np.random.default_rng(0), learning_rate=0.5)
+
+    def test_misaligned_weight_list_rejected(self, monumai):
+        data = generate_dataset(monumai, GeneratorConfig(seed=32), 5)
+        det = PartDetector.create(monumai, GeneratorConfig.feature_dim)
+        ones = [np.ones(len(inst.regions)) for inst in data[:-1]]
+        with pytest.raises(ValidationError, match="4 weight arrays for 5 instances"):
+            train_detector_epoch(det, data, ones, rng=np.random.default_rng(0), learning_rate=0.5)
 
     def test_checkpoint_round_trip(self, monumai, tmp_path):
         det = random_detector(monumai, 6, seed=40)
