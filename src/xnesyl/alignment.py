@@ -208,12 +208,17 @@ def derive_seed(seed: int, *parts: int) -> int:
     """Integer seed of the stream named by `parts` (a role tag, then indices).
 
     The package's one seed derivation: training's classifier, background
-    and attribution seeds and `instance_attribution`'s per-instance seeds.
+    and attribution seeds and the per-instance seeds of scoring and
+    `instance_attribution` (`_instance_seed`).
     """
     return int(np.random.SeedSequence([seed, *parts]).generate_state(1)[0])
 
 
 _TAG_INSTANCE = 0x6ED  # role tag of per-instance attribution seeds; frozen
+
+
+def _instance_seed(seed: int, index: int) -> int:
+    return derive_seed(seed, _TAG_INSTANCE, index)
 
 
 def instance_attribution(
@@ -230,12 +235,14 @@ def instance_attribution(
     """Attributions and SAG of descriptor `v`, at `index` in its scored split.
 
     The estimator seed is derived from `seed` and the index, so results do
-    not depend on evaluation order. `mean_shap_ged` and `xnesyl explain`
-    both come through here, so an explained SAG is the one its distance
-    was scored on.
+    not depend on evaluation order. This is `xnesyl explain`'s path;
+    `mean_shap_ged` scores the whole split as one stack with the same
+    per-index seeds, and each row of a stack gets the attributions it gets
+    alone, so an explained SAG is the one its distance was scored on.
     """
-    index_seed = derive_seed(seed, _TAG_INSTANCE, index)
-    values = shap_matrix(clf, v, background, mode, num_coalition_samples, seed=index_seed)
+    values = shap_matrix(
+        clf, v, background, mode, num_coalition_samples, seed=_instance_seed(seed, index)
+    )
     return values, build_sag(kg, v, values, s)
 
 
@@ -252,19 +259,20 @@ def mean_shap_ged(
 ) -> tuple[float, dict[str, int]]:
     """Mean per-instance graph disagreement over a split.
 
-    `x` holds the split's descriptors, one row per id in `ids`. Returns
-    (mean, per-instance distances keyed by id).
+    `x` holds the split's descriptors, one row per id in `ids`, scored in
+    one `shap_matrix` call. Returns (mean, per-instance distances keyed by
+    id).
     """
     if not ids:
         raise ValidationError("cannot score an empty split")
     if len(ids) != len(x):
         raise ValidationError(f"{len(x)} descriptors for {len(ids)} instance ids")
-    per_instance: dict[str, int] = {}
-    for index, (inst_id, v) in enumerate(zip(ids, x)):
-        _, sag = instance_attribution(
-            clf, v, index, kg, background, s, mode, num_coalition_samples, seed
-        )
-        per_instance[inst_id] = shap_ged(sag, kg)
+    seeds = [_instance_seed(seed, index) for index in range(len(ids))]
+    values = shap_matrix(clf, x, background, mode, num_coalition_samples, seed=seeds)
+    per_instance = {
+        inst_id: shap_ged(build_sag(kg, v, row_values, s), kg)
+        for inst_id, v, row_values in zip(ids, x, values)
+    }
     mean = float(np.mean(list(per_instance.values())))
     return mean, per_instance
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import errno
 import io
 import json
 import os
@@ -222,9 +223,13 @@ def _cmd_train(args, parser: argparse.ArgumentParser) -> int:
 def _cmd_eval(args) -> int:
     kg = load_kg(args.kg)
     test_split = split_dataset(read_dataset(args.data, kg))[2]
-    scored = evaluate(_load_run_dir(args.checkpoints, kg), test_split, kg)
-    rendered = _render_json({"config": config_echo(scored.config), "metrics": scored.metrics})
+    saved = _load_run_dir(args.checkpoints, kg)
     out_path = Path(args.out) if args.out else Path(args.checkpoints) / "eval_metrics.json"
+    # refuse an output under a missing directory before the split is scored
+    if not out_path.parent.is_dir():
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(out_path))
+    scored = evaluate(saved, test_split, kg)
+    rendered = _render_json({"config": config_echo(scored.config), "metrics": scored.metrics})
     out_path.write_text(rendered, encoding="utf-8")
     sys.stdout.write(rendered)
     return 0
@@ -246,13 +251,14 @@ def _cmd_explain(args) -> int:
     index, inst = located[0]
     saved = _load_run_dir(args.checkpoints, kg)
     cfg = saved.config
+    # refuse an unusable output path before the instance is detected and scored
+    out_dir = Path(args.out_dir) if args.out_dir else Path(args.checkpoints)
+    out_dir.mkdir(parents=True, exist_ok=True)
     v = descriptors(saved.detector, [inst], kg, cfg.aggregation)[0][0]
     values, sag = instance_attribution(
         saved.classifier, v, index, kg, saved.background, cfg.s, cfg.shap_mode,
         cfg.shap_samples, shap_eval_seed(cfg),
     )
-    out_dir = Path(args.out_dir) if args.out_dir else Path(args.checkpoints)
-    out_dir.mkdir(parents=True, exist_ok=True)
     stem = f"sag-{inst.id}"
     (out_dir / f"{stem}.dot").write_text(sag_to_dot(sag, kg), encoding="utf-8")
     (out_dir / f"{stem}.json").write_text(sag_to_json(sag), encoding="utf-8")

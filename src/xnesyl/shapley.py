@@ -8,17 +8,21 @@ attributions sums to f_k(x) minus the mean background output (the
 efficiency identity asserted throughout the tests).
 
 `shap_matrix` is the one entry point of scoring, `explain` and the
-training-time weighting pass. It takes one descriptor or a stack of them,
-refuses non-finite attributions and dispatches on a mode of `SHAP_MODES`
-to one of two independent estimators:
+training-time weighting pass. It takes one descriptor or, in either mode,
+a stack of them, refuses non-finite attributions and dispatches on a mode
+of `SHAP_MODES` to one of two independent estimators:
 
-* "exact" (`exact_shap_matrix`) applies the classical permutation-weight
-  formula to every coalition of the features that can move the output.
-  Per reference row b, a feature with x_j == b_j is a null player, so the
-  cost is 2^(live features) coalitions per distinct live pattern among
-  the references; dense descriptors keep all n features live and cost
-  2^n. The n <= 16 guard applies to n, not to the live count. It is the
-  oracle for the kernel estimator.
+* "exact" (`exact_shap_stack`, whose one-row call is `exact_shap_matrix`)
+  applies the classical permutation-weight formula to every coalition of
+  the features that can move the output. Per reference row b, a feature
+  with x_j == b_j is a null player, so the cost is 2^(live features)
+  coalitions per distinct live pattern among the references; dense
+  descriptors keep all n features live and cost 2^n. The n <= 16 guard
+  applies to n, not to the live count. It is the oracle for the kernel
+  estimator. A stack, such as the whole test split that scoring reads, is
+  scored in one call: the reduced games of every row are packed by live
+  count, each pack is evaluated and combined at once, and each row gets
+  the attributions it gets alone, bit for bit.
 * "kernel" (`kernel_shap_stack`, whose one-row call is
   `kernel_shap_matrix`) solves the weighted least-squares system with the
   Shapley kernel weight (n-1) / (C(n,|z|) |z| (n-|z|)), with the empty and
@@ -41,6 +45,7 @@ the tests hold both structured ones to (1e-12).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Protocol
@@ -55,6 +60,7 @@ __all__ = [
     "Model",
     "SHAP_MODES",
     "exact_shap_matrix",
+    "exact_shap_stack",
     "kernel_shap_matrix",
     "kernel_shap_stack",
     "shap_matrix",
@@ -88,6 +94,11 @@ EXACT_MAX_FEATURES = 16
 # dense exact call (n = 14, bg 16) takes 25 ms against 48 ms at 2^22 on a
 # 2-core Xeon VM with 2 MB of L2 per core.
 _CHUNK_ELEMENTS = 1 << 16
+# Cap on one pack of exact games, whose table, logits and values are live
+# together. Over 100 E1 benchmark cycles (bg 32), a quarter of the chunk
+# cap left peak RSS 0.4 MB lower than the full cap, for ~1 ms more per
+# scored split (8.4 against 7.5 ms) on a 2-core Xeon VM.
+_PACK_ELEMENTS = _CHUNK_ELEMENTS >> 2
 
 
 @dataclass(frozen=True)
@@ -216,59 +227,90 @@ def _coalition_weights(n: int) -> np.ndarray:
 
 
 def _exact_from_values(values: np.ndarray, n: int) -> np.ndarray:
-    """Shapley combination over a full (2^n, m) coalition-value table."""
-    m = values.shape[1]
+    """Shapley combination over full coalition-value tables.
+
+    values: (..., 2^n, m), any leading axes a stack of games. Returns
+    (..., m, n).
+    """
+    lead, m = values.shape[:-2], values.shape[-1]
     table = _coalition_weights(n)
-    shap = np.zeros((n, m))
+    shap = np.zeros((*lead, n, m))
     for j in range(n):
-        # coalition index = (higher bits, bit j, lower bits): axis 1 picks
-        # bit j, so [:, 0] lists the coalitions without j in ascending order
+        # coalition index = (higher bits, bit j, lower bits): this axis picks
+        # bit j, so [..., 0, :, :] lists the coalitions without j in order
         w = table.reshape(-1, 2, 1 << j)[:, 0].ravel()
-        paired = values.reshape(-1, 2, 1 << j, m)
-        shap[j] = w @ (paired[:, 1] - paired[:, 0]).reshape(-1, m)
-    return shap.T  # (m, n)
+        paired = values.reshape(*lead, -1, 2, 1 << j, m)
+        diff = paired[..., 1, :, :] - paired[..., 0, :, :]
+        shap[..., j, :] = w @ diff.reshape(*lead, -1, m)
+    return np.swapaxes(shap, -1, -2)
 
 
 def _layered_game_values(
-    model: LayeredModel, x: np.ndarray, rows: np.ndarray, live: np.ndarray
+    model: LayeredModel, rows: np.ndarray, live: np.ndarray, gaps: np.ndarray, sizes: list[int]
 ) -> np.ndarray:
-    """Reference-averaged outputs of every coalition of the live columns.
+    """Reference-averaged outputs of every coalition of a pack of reduced games.
 
-    rows: (B, n) references sharing one live pattern; live: the L columns
-    where x differs from them. Returns (2^L, m), coalitions in
-    `_live_masks` order.
+    The pack holds G games with the same number L of live columns, their
+    references side by side: game g owns the next sizes[g] rows of `rows`
+    (R, n). Row r of `live` (R, L) holds the live columns of its game, and
+    of `gaps` (R, L) the differences x_j - b_j of its descriptor x and its
+    reference b there. Returns (G, m, 2^L), coalitions in `_live_masks`
+    order.
 
     Against reference b, a coalition's first-layer output is (W b + c)
     plus the sum over its members j of delta_j = W[:, j] (x_j - b_j). A
     coalition index splits into high and low bits. The sums over the low
     bits form one table built by doubling, t[2^j : 2^(j+1)] = t[:2^j] +
-    delta_j, laid out (hidden, B, 2^low) with `low` the largest value that
+    delta_j, laid out (hidden, R, 2^low) with `low` the largest value that
     keeps it within _CHUNK_ELEMENTS. Each block of 2^low coalitions is that
     table plus the deltas of its high bits, summed once per block, so no
     array grows past the cap. The cost is one addition per element instead
     of an n-term product, and no mask or composite row is built.
+
+    Every game gets the bits it gets alone: its base W b + c is one product
+    over its own references, and its mean runs over its own slice of them.
+    Consecutive games with as many references share those two steps.
     """
-    weight, bias = _first_layer(model, x.shape[0])
-    hidden, refs, count = weight.shape[0], rows.shape[0], live.size
-    # delta[j] = outer(W[:, live_j], x_j - b_j): (L, hidden, B)
-    delta = weight.T[live][:, :, None] * (x[live] - rows[:, live]).T[:, None, :]
+    weight, bias = model.first_layer
+    hidden, refs, count = weight.shape[0], rows.shape[0], live.shape[1]
+    # delta[j] = outer(W[:, live_j], x_j - b_j): (L, hidden, R)
+    delta = np.empty((count, hidden, refs))
+    np.multiply(weight.T[live.T].transpose(0, 2, 1), gaps.T[:, None, :], out=delta)
+    # runs of consecutive games with as many references: their games, their
+    # references, and (games, size) to split the references by game
+    runs, game, ref = [], 0, 0
+    for size, run in itertools.groupby(sizes):
+        games = len(list(run))
+        runs.append((slice(game, game + games), slice(ref, ref + games * size), (games, size)))
+        game, ref = game + games, ref + games * size
     low = min(count, max(0, (_CHUNK_ELEMENTS // (hidden * refs)).bit_length() - 1))
     table = np.empty((hidden, refs, 1 << low))
-    table[..., 0] = weight @ rows.T + bias[:, None]
+    for _, run_refs, split in runs:
+        base = weight @ rows[run_refs].reshape(*split, -1).transpose(0, 2, 1) + bias[:, None]
+        table[:, run_refs, 0] = base.transpose(1, 0, 2).reshape(hidden, -1)
     for j in range(low):
         np.add(table[..., : 1 << j], delta[j, :, :, None], out=table[..., 1 << j : 2 << j])
     high = delta[low:].reshape(count - low, hidden * refs)
     shifts = np.arange(count - low)
-    pre = np.empty_like(table)  # scratch the head may overwrite
+    blocks = 1 << (count - low)
+    # scratch the head may overwrite; a table that only one block reads is its own
+    pre = table if blocks == 1 else np.empty_like(table)
     # the head takes (R, hidden) rows; the transposed view keeps `pre` hidden-major
     pre_rows = pre.reshape(hidden, -1).T
-    out_blocks = []
-    for block in range(1 << (count - low)):
+    values = None
+    for block in range(blocks):
         offset = ((block >> shifts) & 1) @ high
         np.add(table, offset.reshape(hidden, refs, 1), out=pre)
-        probs = model.head(pre_rows).T  # (m, B * 2^low)
-        out_blocks.append(probs.reshape(probs.shape[0], refs, -1).mean(axis=1).T)
-    return np.concatenate(out_blocks, axis=0)
+        probs = model.head(pre_rows).T  # (m, R * 2^low)
+        m = probs.shape[0]
+        if values is None:
+            values = np.empty((len(sizes), m, 1 << count))
+        probs = probs.reshape(m, refs, -1)
+        coalitions = slice(block << low, (block + 1) << low)
+        for run_games, run_refs, split in runs:
+            mean = probs[:, run_refs].reshape(m, *split, -1).mean(axis=2)
+            values[run_games, :, coalitions] = mean.transpose(1, 0, 2)
+    return values
 
 
 def _check_inputs(x: np.ndarray, bg: BackgroundSet, stacked: bool = False) -> np.ndarray:
@@ -284,24 +326,9 @@ def _check_inputs(x: np.ndarray, bg: BackgroundSet, stacked: bool = False) -> np
     return x
 
 
-def exact_shap_matrix(model: Model, x: np.ndarray, bg: BackgroundSet) -> np.ndarray:
-    """Exact attributions for every model output at once; (m, n).
-
-    The background-averaged game is the mean of its single-reference
-    games, and Shapley values are linear in the game. In the game of one
-    reference b, every feature with x_j == b_j is a null player, so only
-    the live features (x_j != b_j) are enumerated. References sharing a
-    live pattern share one reduced game, evaluated on their rows together
-    and weighted by their share of the background.
-    """
-    x = _check_inputs(x, bg)
+def _black_box_exact(model: Model, x: np.ndarray, bg: BackgroundSet) -> np.ndarray:
+    """Exact attributions of one descriptor through the composite rows; (m, n)."""
     n = x.shape[0]
-    if n > EXACT_MAX_FEATURES:
-        raise ValidationError(
-            f"exact enumeration refuses n={n} > {EXACT_MAX_FEATURES} features; "
-            "use the kernel mode (kernel_shap_matrix) instead"
-        )
-    layered = _is_layered(model)
     patterns, group = np.unique(x[None, :] != bg.vectors, axis=0, return_inverse=True)
     shap = None
     for g, pattern in enumerate(patterns):
@@ -309,10 +336,7 @@ def exact_shap_matrix(model: Model, x: np.ndarray, bg: BackgroundSet) -> np.ndar
         if live.size == 0:
             continue  # every feature is a null player: contributes exactly 0
         rows = bg.vectors[group == g]
-        if layered:
-            values = _layered_game_values(model, x, rows, live)
-        else:
-            values = _coalition_values(model, x, BackgroundSet(rows), _live_masks(pattern))
+        values = _coalition_values(model, x, BackgroundSet(rows), _live_masks(pattern))
         part = _exact_from_values(values, live.size) * (rows.shape[0] / bg.size)
         if shap is None:
             shap = np.zeros((part.shape[0], n))
@@ -320,6 +344,93 @@ def exact_shap_matrix(model: Model, x: np.ndarray, bg: BackgroundSet) -> np.ndar
     if shap is None:  # x equals every reference
         return np.zeros((np.asarray(model(x[None, :])).shape[1], n))
     return shap
+
+
+def _layered_exact(model: LayeredModel, x: np.ndarray, bg: BackgroundSet) -> np.ndarray:
+    """Exact attributions of a stack through the model's first layer; (N, m, n).
+
+    Each row's references are grouped by live pattern as `np.unique` orders
+    them. Games with the same live count L, from any row, are packed side
+    by side up to _PACK_ELEMENTS and evaluated and combined a pack at a
+    time; a game past that alone is a pack of one. Each game's part is
+    added into its row in that row's group order.
+    """
+    count, n = x.shape
+    weight, _ = _first_layer(model, n)
+    games = []  # (row, live columns, references), each row's groups in order
+    for i, row in enumerate(x):
+        patterns, group = np.unique(row != bg.vectors, axis=0, return_inverse=True)
+        games += [
+            (i, np.flatnonzero(pattern), np.flatnonzero(group == g))
+            for g, pattern in enumerate(patterns)
+            if pattern.any()  # a game with no live feature contributes exactly 0
+        ]
+    if not games:  # every row equals every reference
+        return np.zeros((count, np.asarray(model(x[:1])).shape[1], n))
+    parts = [None] * len(games)
+    for live_count in sorted({live.size for _, live, _ in games}):
+        # fewest references first, so games with as many sit side by side
+        members = sorted(
+            (k for k, (_, live, _) in enumerate(games) if live.size == live_count),
+            key=lambda k: games[k][2].size,
+        )
+        capacity = _PACK_ELEMENTS // (weight.shape[0] << live_count)
+        packs, held = [[]], 0
+        for k in members:
+            if packs[-1] and held + games[k][2].size > capacity:
+                packs.append([])
+                held = 0
+            packs[-1].append(k)
+            held += games[k][2].size
+        for pack in packs:
+            sizes = [games[k][2].size for k in pack]
+            rows = bg.vectors[np.concatenate([games[k][2] for k in pack])]
+            live = np.repeat([games[k][1] for k in pack], sizes, axis=0)
+            at = np.arange(rows.shape[0])[:, None]
+            gaps = x[np.repeat([games[k][0] for k in pack], sizes)][at, live] - rows[at, live]
+            values = _layered_game_values(model, rows, live, gaps, sizes)
+            # class-major tables read coalition-major: each game's combine
+            # then runs over the layout its table has when evaluated alone
+            combined = _exact_from_values(values.transpose(0, 2, 1), live_count)
+            for k, part, size in zip(pack, combined, sizes):
+                parts[k] = part * (size / bg.size)
+    shap = np.zeros((count, parts[0].shape[0], n))
+    for (i, live, _), part in zip(games, parts):
+        shap[i][:, live] += part
+    return shap
+
+
+def exact_shap_stack(model: Model, x: np.ndarray, bg: BackgroundSet) -> np.ndarray:
+    """Exact attributions of a stack of descriptors (N, n); (N, m, n).
+
+    The background-averaged game is the mean of its single-reference
+    games, and Shapley values are linear in the game. In the game of one
+    reference b, every feature with x_j == b_j is a null player, so only
+    the live features (x_j != b_j) are enumerated. References sharing a
+    live pattern share one reduced game, evaluated on their rows together
+    and weighted by their share of the background. Each row's
+    attributions are the ones `exact_shap_matrix` gives it alone, bit for
+    bit.
+    """
+    x = _check_inputs(x, bg, stacked=True)
+    n = x.shape[1]
+    if n > EXACT_MAX_FEATURES:
+        raise ValidationError(
+            f"exact enumeration refuses n={n} > {EXACT_MAX_FEATURES} features; "
+            "use the kernel mode (kernel_shap_matrix) instead"
+        )
+    if _is_layered(model):
+        return _layered_exact(model, x, bg)
+    return np.stack([_black_box_exact(model, row, bg) for row in x])
+
+
+def exact_shap_matrix(model: Model, x: np.ndarray, bg: BackgroundSet) -> np.ndarray:
+    """Exact attributions for every model output at once; (m, n).
+
+    The one-row call of `exact_shap_stack`.
+    """
+    x = _check_inputs(x, bg)
+    return exact_shap_stack(model, x[None, :], bg)[0]
 
 
 def _kernel_weight(n: int, size: int) -> float:
@@ -468,18 +579,21 @@ def shap_matrix(
 ) -> np.ndarray:
     """Attributions of every output by the estimator `mode` names.
 
-    One descriptor (n,) with an integer seed gives (m, n). In kernel mode
-    a stack (N, n) with one seed per row gives (N, m, n), each row's
-    attributions as it would get them alone. Non-finite attributions raise
-    NumericalError. The estimators are looked up by name at each call, so
-    one replaced in this module sees every call it serves:
-    `kernel_shap_stack` every kernel call (`kernel_shap_matrix` calls it
-    too), `kernel_shap_matrix` the kernel calls of one descriptor.
+    One descriptor (n,) with an integer seed gives (m, n). A stack (N, n)
+    with one seed per row gives (N, m, n) in either mode, each row's
+    attributions as it would get them alone; the exact mode ignores the
+    seeds. Non-finite attributions raise NumericalError. The estimators
+    are looked up by name at each call, so one replaced in this module sees
+    every call it serves: `exact_shap_stack` and `kernel_shap_stack` every
+    call of their mode (the one-row calls go through them too),
+    `exact_shap_matrix` and `kernel_shap_matrix` the calls of one
+    descriptor.
     """
+    stacked = np.ndim(x) == 2
     if mode == "exact":
-        values = exact_shap_matrix(model, x, bg)
+        values = exact_shap_stack(model, x, bg) if stacked else exact_shap_matrix(model, x, bg)
     elif mode == "kernel":
-        estimator = kernel_shap_stack if np.ndim(x) == 2 else kernel_shap_matrix
+        estimator = kernel_shap_stack if stacked else kernel_shap_matrix
         values = estimator(model, x, bg, num_coalition_samples, seed)
     else:
         raise ValidationError(f"unknown shap mode {mode!r}; expected one of {SHAP_MODES}")

@@ -281,6 +281,43 @@ class TestMeanShapGed:
         assert mean == 0.0
         assert set(per_instance.values()) == {0}
 
+    @pytest.mark.parametrize("mode", ["exact", "kernel"])
+    def test_one_stack_call_agrees_with_explain(self, monumai, monkeypatch, mode):
+        # scoring passes the split as one stack; explain scores one instance
+        # at its index, and must reproduce the distance scoring recorded
+        from xnesyl import alignment
+        from xnesyl.classifier import MLPClassifier
+        from xnesyl.datagen import GeneratorConfig, generate_dataset
+        from xnesyl.detector import PartDetector, aggregate, detect
+        from xnesyl.shapley import BackgroundSet
+
+        kg = monumai
+        instances = generate_dataset(kg, GeneratorConfig(seed=5), 10)
+        det = PartDetector.create(kg, 8)
+        x = np.stack([aggregate(detect(det, inst), "frcnn") for inst in instances])
+        ids = [inst.id for inst in instances]
+        clf = MLPClassifier.create(kg, seed=2)
+        bg = BackgroundSet.sample(x, 6, seed=1)
+        calls = []
+        shap_matrix = alignment.shap_matrix
+
+        def counted(model, descriptors, *args, **kwargs):
+            calls.append(np.shape(descriptors))
+            return shap_matrix(model, descriptors, *args, **kwargs)
+
+        monkeypatch.setattr(alignment, "shap_matrix", counted)
+        mean, per_instance = alignment.mean_shap_ged(
+            clf, x, ids, kg, bg, DETECTION_THRESHOLD, mode, 64, 11
+        )
+        assert calls == [x.shape]
+        assert any(per_instance.values())
+        for index, (inst_id, v) in enumerate(zip(ids, x)):
+            _, sag = alignment.instance_attribution(
+                clf, v, index, kg, bg, DETECTION_THRESHOLD, mode, 64, 11
+            )
+            assert per_instance[inst_id] == shap_ged(sag, kg)
+        assert mean == np.mean(list(per_instance.values()))
+
     def test_empty_split_rejected(self, monumai):
         from xnesyl.classifier import MLPClassifier
         from xnesyl.shapley import BackgroundSet

@@ -598,6 +598,39 @@ class TestUnwritableOutput:
         assert err.startswith("error: ") and str(blocker) in err
         assert blocker.read_text(encoding="utf-8") == "keep\n"
 
+    def test_eval_refuses_a_missing_directory_before_detecting(
+        self, kg_path, run_dir, tmp_path, capsys, detect_calls
+    ):
+        missing = tmp_path / "nodir" / "eval.json"
+        detect_calls.clear()
+        code = main([
+            "eval", "--kg", kg_path, "--data", run_dir["data"],
+            "--checkpoints", run_dir["out"], "--out", str(missing),
+        ])
+        assert code == 3
+        assert len(detect_calls) == 0
+        err = capsys.readouterr().err
+        assert err == f"error: {missing}: No such file or directory\n"
+        assert not missing.parent.exists()
+
+    def test_explain_refuses_a_file_before_detecting(
+        self, kg_path, run_dir, tmp_path, capsys, detect_calls
+    ):
+        blocker = tmp_path / "file"
+        blocker.write_text("keep\n", encoding="utf-8")
+        inst_id = read_dataset(run_dir["data"], monumai_kg())[0].id
+        detect_calls.clear()
+        code = main([
+            "explain", "--kg", kg_path, "--data", run_dir["data"],
+            "--checkpoints", run_dir["out"], "--instance-id", inst_id,
+            "--out-dir", str(blocker),
+        ])
+        assert code == 3
+        assert len(detect_calls) == 0
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(blocker) in err and len(err.splitlines()) == 1
+        assert blocker.read_text(encoding="utf-8") == "keep\n"
+
 
 class TestMalformedConfigField:
     """A missing or ill-typed field of a saved run's config is named in plain words."""

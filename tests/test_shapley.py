@@ -20,8 +20,10 @@ from xnesyl.shapley import (
     BackgroundSet,
     _coalition_values,
     _exact_from_values,
+    _layered_game_values,
     _sample_masks,
     exact_shap_matrix,
+    exact_shap_stack,
     kernel_shap_matrix,
     kernel_shap_stack,
     shap_matrix,
@@ -540,6 +542,134 @@ class TestKernelStack:
         stacked = shap_matrix(clf, x, bg, "kernel", 64, seeds)
         for row, seed, values in zip(x, seeds, stacked):
             np.testing.assert_array_equal(values, shap_matrix(clf, row, bg, "kernel", 64, seed))
+
+
+def e1_shaped_case(rows=12, n=14, bg_rows=32, seed=0):
+    """Sparse frcnn-like descriptors: most parts undetected (exactly 0), so
+    a row ties most references on most columns and its games are small."""
+    rng = np.random.default_rng(seed)
+    clf, _, _, _ = e2_shaped_case(rows=1, n=n, seed=seed)
+
+    def draw(count):
+        detected = rng.random((count, n)) < 0.2
+        return np.where(detected, rng.choice([0.4, 0.9, 1.0, 1.6], size=(count, n)), 0.0)
+
+    return clf, draw(rows), BackgroundSet(draw(bg_rows))
+
+
+def per_game_reference(clf, x, bg):
+    """Each row scored alone, one reduced game at a time: `np.unique` groups,
+    `_layered_game_values` on the group's references, `_exact_from_values`,
+    and the share-weighted part added into the row in group order."""
+    m, n = clf.w2.shape[0], x.shape[1]
+    out = np.zeros((x.shape[0], m, n))
+    for row, shap in zip(x, out):
+        patterns, group = np.unique(row[None, :] != bg.vectors, axis=0, return_inverse=True)
+        for g, pattern in enumerate(patterns):
+            live = np.flatnonzero(pattern)
+            if live.size == 0:
+                continue
+            rows = bg.vectors[group == g]
+            columns = np.tile(live, (rows.shape[0], 1))
+            values = _layered_game_values(
+                clf, rows, columns, row[live] - rows[:, live], [rows.shape[0]]
+            )
+            part = _exact_from_values(values.transpose(0, 2, 1), live.size)[0]
+            shap[:, live] += part * (rows.shape[0] / bg.size)
+    return out
+
+
+class TestExactStack:
+    """The stacked exact estimator gives every row what the one-row call gives it."""
+
+    def assert_rows_are_one_row_calls(self, model, x, bg):
+        stacked = exact_shap_stack(model, x, bg)
+        assert stacked.shape[0] == x.shape[0]
+        span = np.asarray(model(x)) - np.asarray(model(bg.vectors)).mean(axis=0)
+        for row, values, row_span in zip(x, stacked, span):
+            np.testing.assert_array_equal(values, exact_shap_matrix(model, row, bg))
+            assert np.max(np.abs(values.sum(axis=1) - row_span)) <= 1e-9
+        return stacked
+
+    def test_e1_shape(self):
+        clf, x, bg = e1_shaped_case()
+        self.assert_rows_are_one_row_calls(clf, x, bg)
+
+    def test_e2_shape(self):
+        clf, x, bg, _ = e2_shaped_case(rows=4)
+        self.assert_rows_are_one_row_calls(clf, x, bg)
+
+    def test_packs_straddle_the_caps(self):
+        # at bg 100 the games of one live count hold more references than
+        # one pack takes, and 50 copies of a reference that differs from
+        # every row on 8 or more columns make one game past the chunk cap
+        # alone, evaluated in blocks
+        clf, x, bg = e1_shaped_case(rows=10, bg_rows=50, seed=1)
+        far = np.zeros(x.shape[1])
+        far[:8] = 0.5
+        bg = BackgroundSet(np.concatenate([bg.vectors, np.tile(far, (50, 1))]))
+        hidden = clf.w1.shape[0]
+        held = {}
+        single = 0
+        for row in x:
+            patterns, sizes = np.unique(row != bg.vectors, axis=0, return_counts=True)
+            for pattern, size in zip(patterns, sizes):
+                live = int(pattern.sum())
+                held[live] = held.get(live, 0) + size
+                single = max(single, hidden * size << live)
+        pack = shapley_module._PACK_ELEMENTS
+        assert any(hidden * refs << live > pack for live, refs in held.items() if live)
+        assert single > shapley_module._CHUNK_ELEMENTS
+        self.assert_rows_are_one_row_calls(clf, x, bg)
+
+    def test_row_equal_to_every_reference(self):
+        clf, x, bg = e1_shaped_case(rows=3, seed=2)
+        bg = BackgroundSet(np.tile(x[1], (5, 1)))
+        stacked = self.assert_rows_are_one_row_calls(clf, x, bg)
+        assert np.all(stacked[1] == 0.0)
+        stacked = self.assert_rows_are_one_row_calls(clf, x[1:2], bg)
+        assert stacked.shape == (1, 4, 14) and np.all(stacked == 0.0)
+
+    def test_duplicated_references(self):
+        clf, x, bg = e1_shaped_case(rows=6, bg_rows=8, seed=3)
+        bg = BackgroundSet(bg.vectors[[0, 1, 1, 2, 0, 3, 3, 3, 4, 1]])
+        self.assert_rows_are_one_row_calls(clf, x, bg)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_few_features(self, n):
+        clf, x, bg, _ = e2_shaped_case(rows=5, n=n, bg_rows=6, seed=4 + n)
+        x[0] = bg.vectors[2]  # one reference tied on every column
+        stacked = self.assert_rows_are_one_row_calls(clf, x, bg)
+        assert stacked.shape == (5, 4, n)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_black_box_matches_layered(self, sparse):
+        if sparse:
+            clf, x, bg = e1_shaped_case(rows=5, n=10, bg_rows=12, seed=7)
+        else:
+            clf, x, bg, _ = e2_shaped_case(rows=3, n=9, bg_rows=5, seed=7)
+        model = lambda X: clf.predict_proba(X)
+        stacked = self.assert_rows_are_one_row_calls(model, x, bg)
+        np.testing.assert_allclose(stacked, exact_shap_stack(clf, x, bg), rtol=0, atol=1e-12)
+
+    def test_too_many_features_rejected(self):
+        clf, x, bg, _ = e2_shaped_case(rows=2, n=17)
+        with pytest.raises(ValidationError, match="n=17 > 16"):
+            exact_shap_stack(clf, x, bg)
+
+    @pytest.mark.parametrize("case", ["e1", "e1-bg100", "e2"])
+    def test_matches_per_game_reference(self, case):
+        if case == "e2":
+            clf, x, bg, _ = e2_shaped_case(rows=3)
+        else:
+            clf, x, bg = e1_shaped_case(bg_rows=100 if case == "e1-bg100" else 32, seed=8)
+        np.testing.assert_array_equal(exact_shap_stack(clf, x, bg), per_game_reference(clf, x, bg))
+
+    def test_shap_matrix_stack_is_its_rows(self):
+        clf, x, bg = e1_shaped_case(rows=4, seed=9)
+        stacked = shap_matrix(clf, x, bg, "exact", 64, [0] * 4)
+        for row, values in zip(x, stacked):
+            np.testing.assert_array_equal(values, shap_matrix(clf, row, bg, "exact", 64, 0))
 
 
 class TestKernel:
