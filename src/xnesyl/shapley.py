@@ -20,9 +20,9 @@ of `SHAP_MODES` to one of two independent estimators:
   descriptors keep all n features live and cost 2^n. The n <= 16 guard
   applies to n, not to the live count. It is the oracle for the kernel
   estimator. A stack, such as the whole test split that scoring reads, is
-  scored in one call: the reduced games of every row are packed by live
-  count, each pack is evaluated and combined at once, and each row gets
-  the attributions it gets alone, bit for bit.
+  scored in one call: the reduced games of every row form one list, each
+  game is evaluated by the evaluator of the model's kind, and each row
+  gets the attributions it gets alone, bit for bit.
 * "kernel" (`kernel_shap_stack`, whose one-row call is
   `kernel_shap_matrix`) solves the weighted least-squares system with the
   Shapley kernel weight (n-1) / (C(n,|z|) |z| (n-|z|)), with the empty and
@@ -38,8 +38,8 @@ building composite descriptors: the exact estimator builds every
 coalition's first-layer output by subset sums (`_layered_game_values`),
 and the kernel estimator multiplies its sampled masks into the first
 layer (`_coalition_values`). Any other callable is called on the
-composite rows (`_coalition_values`). That black-box route is the oracle
-the tests hold both structured ones to (1e-12).
+composite rows (`_coalition_values`), one exact game at a time. That
+black-box route is the oracle the tests hold both structured ones to.
 """
 
 from __future__ import annotations
@@ -326,48 +326,18 @@ def _check_inputs(x: np.ndarray, bg: BackgroundSet, stacked: bool = False) -> np
     return x
 
 
-def _black_box_exact(model: Model, x: np.ndarray, bg: BackgroundSet) -> np.ndarray:
-    """Exact attributions of one descriptor through the composite rows; (m, n)."""
-    n = x.shape[0]
-    patterns, group = np.unique(x[None, :] != bg.vectors, axis=0, return_inverse=True)
-    shap = None
-    for g, pattern in enumerate(patterns):
-        live = np.flatnonzero(pattern)
-        if live.size == 0:
-            continue  # every feature is a null player: contributes exactly 0
-        rows = bg.vectors[group == g]
-        values = _coalition_values(model, x, BackgroundSet(rows), _live_masks(pattern))
-        part = _exact_from_values(values, live.size) * (rows.shape[0] / bg.size)
-        if shap is None:
-            shap = np.zeros((part.shape[0], n))
-        shap[:, live] += part
-    if shap is None:  # x equals every reference
-        return np.zeros((np.asarray(model(x[None, :])).shape[1], n))
-    return shap
+def _layered_game_parts(
+    model: LayeredModel, x: np.ndarray, bg: BackgroundSet, games: list[tuple]
+) -> list[np.ndarray]:
+    """Exact attributions of each reduced game through the first layer.
 
-
-def _layered_exact(model: LayeredModel, x: np.ndarray, bg: BackgroundSet) -> np.ndarray:
-    """Exact attributions of a stack through the model's first layer; (N, m, n).
-
-    Each row's references are grouped by live pattern as `np.unique` orders
-    them. Games with the same live count L, from any row, are packed side
-    by side up to _PACK_ELEMENTS and evaluated and combined a pack at a
-    time; a game past that alone is a pack of one. Each game's part is
-    added into its row in that row's group order.
+    Games with the same live count L, from any row, are packed side by
+    side, fewest references first, up to _PACK_ELEMENTS, and evaluated and
+    combined a pack at a time; a game past that alone is a pack of one.
+    Returns one (m, L) part per game, in the order of `games`.
     """
-    count, n = x.shape
-    weight, _ = _first_layer(model, n)
-    games = []  # (row, live columns, references), each row's groups in order
-    for i, row in enumerate(x):
-        patterns, group = np.unique(row != bg.vectors, axis=0, return_inverse=True)
-        games += [
-            (i, np.flatnonzero(pattern), np.flatnonzero(group == g))
-            for g, pattern in enumerate(patterns)
-            if pattern.any()  # a game with no live feature contributes exactly 0
-        ]
-    if not games:  # every row equals every reference
-        return np.zeros((count, np.asarray(model(x[:1])).shape[1], n))
-    parts = [None] * len(games)
+    weight, _ = _first_layer(model, x.shape[1])
+    parts = {}
     for live_count in sorted({live.size for _, live, _ in games}):
         # fewest references first, so games with as many sit side by side
         members = sorted(
@@ -392,12 +362,8 @@ def _layered_exact(model: LayeredModel, x: np.ndarray, bg: BackgroundSet) -> np.
             # class-major tables read coalition-major: each game's combine
             # then runs over the layout its table has when evaluated alone
             combined = _exact_from_values(values.transpose(0, 2, 1), live_count)
-            for k, part, size in zip(pack, combined, sizes):
-                parts[k] = part * (size / bg.size)
-    shap = np.zeros((count, parts[0].shape[0], n))
-    for (i, live, _), part in zip(games, parts):
-        shap[i][:, live] += part
-    return shap
+            parts.update(zip(pack, combined))
+    return [parts[k] for k in range(len(games))]
 
 
 def exact_shap_stack(model: Model, x: np.ndarray, bg: BackgroundSet) -> np.ndarray:
@@ -407,21 +373,42 @@ def exact_shap_stack(model: Model, x: np.ndarray, bg: BackgroundSet) -> np.ndarr
     games, and Shapley values are linear in the game. In the game of one
     reference b, every feature with x_j == b_j is a null player, so only
     the live features (x_j != b_j) are enumerated. References sharing a
-    live pattern share one reduced game, evaluated on their rows together
-    and weighted by their share of the background. Each row's
-    attributions are the ones `exact_shap_matrix` gives it alone, bit for
-    bit.
+    live pattern share one reduced game. The games of every row form one
+    list, each evaluated through the first layer of a `LayeredModel`
+    (`_layered_game_parts`) or on the composite rows of any other callable
+    (`_coalition_values`) and added into its row weighted by its share of
+    the background. Each row's attributions are the ones
+    `exact_shap_matrix` gives it alone, bit for bit.
     """
     x = _check_inputs(x, bg, stacked=True)
-    n = x.shape[1]
+    count, n = x.shape
     if n > EXACT_MAX_FEATURES:
         raise ValidationError(
             f"exact enumeration refuses n={n} > {EXACT_MAX_FEATURES} features; "
             "use the kernel mode (kernel_shap_matrix) instead"
         )
+    games = []  # (row, live columns, references), each row's groups in np.unique order
+    for i, row in enumerate(x):
+        patterns, group = np.unique(row != bg.vectors, axis=0, return_inverse=True)
+        games += [
+            (i, np.flatnonzero(pattern), np.flatnonzero(group == g))
+            for g, pattern in enumerate(patterns)
+            if pattern.any()  # a game with no live feature contributes exactly 0
+        ]
+    if not games:  # every row equals every reference
+        return np.zeros((count, np.asarray(model(x[:1])).shape[1], n))
     if _is_layered(model):
-        return _layered_exact(model, x, bg)
-    return np.stack([_black_box_exact(model, row, bg) for row in x])
+        parts = _layered_game_parts(model, x, bg, games)
+    else:
+        parts = []
+        for i, live, refs in games:
+            masks = _live_masks(np.isin(np.arange(n), live))
+            values = _coalition_values(model, x[i], BackgroundSet(bg.vectors[refs]), masks)
+            parts.append(_exact_from_values(values, live.size))
+    shap = np.zeros((count, parts[0].shape[0], n))
+    for (i, live, refs), part in zip(games, parts):
+        shap[i][:, live] += part * (refs.size / bg.size)
+    return shap
 
 
 def exact_shap_matrix(model: Model, x: np.ndarray, bg: BackgroundSet) -> np.ndarray:

@@ -28,7 +28,7 @@ from .datagen import SceneInstance
 from .detector import AGGREGATIONS, PartDetector, aggregate, detect, train_detector_epoch
 from .errors import NumericalError, ValidationError
 from .kg import KnowledgeGraph, attribution_matrix
-from .shapley import SHAP_MODES, BackgroundSet, shap_matrix
+from .shapley import EXACT_MAX_FEATURES, SHAP_MODES, BackgroundSet, shap_matrix
 
 __all__ = [
     "TrainConfig",
@@ -119,8 +119,20 @@ def _train(
 ) -> RunArtifacts:
     """The one training loop; `cfg.scheme` decides whether epochs are weighted."""
     train_split, _, test_split = splits
-    if not train_split:
-        raise ValidationError("training split is empty")
+    # refuse what the estimators or evaluate would refuse, before any epoch runs
+    for name, split in (("training", train_split), ("test", test_split)):
+        if not split:
+            raise ValidationError(f"{name} split is empty")
+    n = kg.num_parts
+    if (cfg.shap_mode == "kernel" or cfg.scheme is not None) and cfg.shap_samples < 2 * n:
+        raise ValidationError(
+            f"need at least 2n = {2 * n} coalition samples, got {cfg.shap_samples}"
+        )
+    if cfg.shap_mode == "exact" and n > EXACT_MAX_FEATURES:
+        raise ValidationError(
+            f"exact attributions take at most {EXACT_MAX_FEATURES} parts and the "
+            f"knowledge graph has {n}; use the kernel mode"
+        )
     kg_matrix = attribution_matrix(kg)
     det = PartDetector.create(kg, train_split[0].regions[0].features.shape[0])
     weights: list[np.ndarray] | None = None  # the previous epoch's multipliers

@@ -124,6 +124,20 @@ class TestTrain:
         assert "learning rates must be finite" in err and "Traceback" not in err
 
 
+    def test_too_few_coalition_samples_exit_3_before_detecting(
+        self, kg_path, run_dir, capsys, detect_calls
+    ):
+        detect_calls.clear()
+        code = main([
+            "train", "--kg", kg_path, "--data", run_dir["data"],
+            "--out-dir", str(run_dir["root"] / "few-samples"),
+            "--shap", "kernel", "--shap-samples", "20",
+        ])
+        assert code == 3
+        assert len(detect_calls) == 0
+        err = capsys.readouterr().err
+        assert err == "error: need at least 2n = 28 coalition samples, got 20\n"
+
     def test_detector_divergence_exits_4(self, kg_path, run_dir, capsys):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

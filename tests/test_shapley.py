@@ -622,24 +622,33 @@ class TestExactStack:
         assert single > shapley_module._CHUNK_ELEMENTS
         self.assert_rows_are_one_row_calls(clf, x, bg)
 
-    def test_row_equal_to_every_reference(self):
+    # the game list, its zero result and its scatter serve both evaluators
+    @staticmethod
+    def model_of(clf, kind):
+        return clf if kind == "layered" else lambda X: clf.predict_proba(X)
+
+    @pytest.mark.parametrize("kind", ["layered", "black-box"])
+    def test_row_equal_to_every_reference(self, kind):
         clf, x, bg = e1_shaped_case(rows=3, seed=2)
+        model = self.model_of(clf, kind)
         bg = BackgroundSet(np.tile(x[1], (5, 1)))
-        stacked = self.assert_rows_are_one_row_calls(clf, x, bg)
+        stacked = self.assert_rows_are_one_row_calls(model, x, bg)
         assert np.all(stacked[1] == 0.0)
-        stacked = self.assert_rows_are_one_row_calls(clf, x[1:2], bg)
+        stacked = self.assert_rows_are_one_row_calls(model, x[1:2], bg)
         assert stacked.shape == (1, 4, 14) and np.all(stacked == 0.0)
 
-    def test_duplicated_references(self):
+    @pytest.mark.parametrize("kind", ["layered", "black-box"])
+    def test_duplicated_references(self, kind):
         clf, x, bg = e1_shaped_case(rows=6, bg_rows=8, seed=3)
         bg = BackgroundSet(bg.vectors[[0, 1, 1, 2, 0, 3, 3, 3, 4, 1]])
-        self.assert_rows_are_one_row_calls(clf, x, bg)
+        self.assert_rows_are_one_row_calls(self.model_of(clf, kind), x, bg)
 
+    @pytest.mark.parametrize("kind", ["layered", "black-box"])
     @pytest.mark.parametrize("n", [1, 2])
-    def test_few_features(self, n):
+    def test_few_features(self, n, kind):
         clf, x, bg, _ = e2_shaped_case(rows=5, n=n, bg_rows=6, seed=4 + n)
         x[0] = bg.vectors[2]  # one reference tied on every column
-        stacked = self.assert_rows_are_one_row_calls(clf, x, bg)
+        stacked = self.assert_rows_are_one_row_calls(self.model_of(clf, kind), x, bg)
         assert stacked.shape == (5, 4, n)
 
     @pytest.mark.parametrize("sparse", [False, True])

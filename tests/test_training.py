@@ -10,7 +10,7 @@ from xnesyl import training as training_module
 from xnesyl.alignment import WeightScheme
 from xnesyl.datagen import GeneratorConfig, generate_dataset, split_dataset
 from xnesyl.errors import NumericalError, ValidationError
-from xnesyl.kg import monumai_kg
+from xnesyl.kg import KnowledgeGraph, monumai_kg
 from xnesyl.shapley import kernel_shap_matrix, kernel_shap_stack
 from xnesyl.training import (
     TrainConfig,
@@ -232,6 +232,39 @@ class TestDetectionPasses:
         detect_calls.clear()
         evaluate(artifacts, splits[2], kg)
         assert len(detect_calls) == len(splits[2])
+
+
+class TestRefusedBeforeTraining:
+    """A run that could not finish is refused before its first detector epoch."""
+
+    def test_empty_test_split(self, detect_calls):
+        kg = monumai_kg()
+        splits = split_dataset(generate_dataset(kg, GeneratorConfig(seed=17), 1))
+        assert len(splits[0]) == 1 and not splits[2]
+        with pytest.raises(ValidationError, match="test split is empty"):
+            train_standard(kg, splits, TrainConfig(seed=5, **FAST))
+        assert len(detect_calls) == 0
+
+    @pytest.mark.parametrize("shap_mode, scheme", [("kernel", None), ("exact", "linear_instance")])
+    def test_too_few_coalition_samples(self, small_splits, detect_calls, shap_mode, scheme):
+        # the weighting pass runs the kernel estimator whatever mode scores the run
+        kg, splits = small_splits
+        fast = {**FAST, "shap_mode": shap_mode, "shap_samples": 2 * kg.num_parts - 1}
+        cfg = TrainConfig(seed=5, scheme=scheme and WeightScheme(scheme), **fast)
+        runner = train_standard if scheme is None else train_shap_backprop
+        with pytest.raises(ValidationError, match=f"2n = {2 * kg.num_parts} coalition samples"):
+            runner(kg, splits, cfg)
+        assert len(detect_calls) == 0
+
+    def test_exact_mode_past_the_feature_limit(self, detect_calls):
+        parts = tuple(f"p{j}" for j in range(17))
+        typical = [(p, "X") for p in parts[:9]] + [(p, "Y") for p in parts[8:]]
+        kg = KnowledgeGraph(("X", "Y"), parts, frozenset(typical))
+        splits = split_dataset(generate_dataset(kg, GeneratorConfig(seed=17), 30))
+        cfg = TrainConfig(seed=5, **{**FAST, "shap_mode": "exact"})
+        with pytest.raises(ValidationError, match="at most 16 parts and the knowledge graph has 17"):
+            train_standard(kg, splits, cfg)
+        assert len(detect_calls) == 0
 
 
 class TestConfigEcho:
