@@ -27,7 +27,9 @@ import numpy as np
 
 from .alignment import SCHEME_KINDS, WeightScheme, instance_attribution, sag_to_dot, sag_to_json
 from .classifier import load_classifier, save_classifier
-from .datagen import GeneratorConfig, generate_dataset, read_dataset, split_dataset, write_dataset
+from .datagen import (
+    GeneratorConfig, generate_dataset, locate_instance, read_dataset, split_dataset, write_dataset,
+)
 from .detector import AGGREGATIONS, load_detector, save_detector
 from .errors import NumericalError, ValidationError, read_json_array, read_json_object
 from .kg import KnowledgeGraph, load_kg
@@ -73,10 +75,7 @@ def _parse_regions(text: str) -> tuple[int, int]:
         raise ValidationError(f"--regions expects LO:HI, got {text!r}") from None
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="xnesyl")
-    sub = parser.add_subparsers(dest="command", required=True)
-
+def _add_gen(sub) -> None:
     gen = sub.add_parser("gen", help="generate a synthetic dataset")
     gen.add_argument("--kg", required=True)
     gen.add_argument("--out", required=True)
@@ -88,6 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--regions", default="%d:%d" % GeneratorConfig.regions_per_instance)
     gen.set_defaults(func=_cmd_gen)
 
+
+def _add_train(sub) -> None:
     train = sub.add_parser("train", help="train and evaluate a run")
     train.add_argument("--kg", required=True)
     train.add_argument("--data", required=True)
@@ -115,6 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--seed", type=int, default=None)
     train.set_defaults(func=lambda args: _cmd_train(args, train))
 
+
+def _add_eval(sub) -> None:
     ev = sub.add_parser("eval", help="re-evaluate checkpoints on a dataset")
     ev.add_argument("--kg", required=True)
     ev.add_argument("--data", required=True)
@@ -122,6 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--out", default=None)
     ev.set_defaults(func=_cmd_eval)
 
+
+def _add_explain(sub) -> None:
     explain = sub.add_parser("explain", help="emit attribution graph artifacts for one instance")
     explain.add_argument("--kg", required=True)
     explain.add_argument("--data", required=True)
@@ -130,10 +135,33 @@ def build_parser() -> argparse.ArgumentParser:
     explain.add_argument("--out-dir", default=None)
     explain.set_defaults(func=_cmd_explain)
 
+
+def _add_report(sub) -> None:
     report = sub.add_parser("report", help="tabulate metrics across run directories")
     report.add_argument("--runs", required=True)
     report.add_argument("--out", default=None)
     report.set_defaults(func=_cmd_report)
+
+
+_COMMANDS = {
+    "gen": _add_gen,
+    "train": _add_train,
+    "eval": _add_eval,
+    "explain": _add_explain,
+    "report": _add_report,
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser; given a known `command`, only that subcommand is built."""
+    parser = argparse.ArgumentParser(prog="xnesyl")
+    known = command in _COMMANDS
+    # a one-command parser's usage line still lists every command, so its
+    # messages read as the full parser's
+    metavar = "{" + ",".join(_COMMANDS) + "}" if known else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for add in [_COMMANDS[command]] if known else _COMMANDS.values():
+        add(sub)
     return parser
 
 
@@ -237,18 +265,12 @@ def _cmd_eval(args) -> int:
 
 def _cmd_explain(args) -> int:
     kg = load_kg(args.kg)
-    splits = split_dataset(read_dataset(args.data, kg))
     # An instance is seeded by its position in its own split; for a test
     # instance that is the seed `evaluate` scored it with.
-    located = [
-        (index, inst)
-        for split in splits
-        for index, inst in enumerate(split)
-        if inst.id == args.instance_id
-    ]
-    if not located:
+    located = locate_instance(args.data, kg, args.instance_id)
+    if located is None:
         raise ValidationError(f"--instance-id {args.instance_id!r} not found in {args.data}")
-    index, inst = located[0]
+    index, inst = located
     saved = _load_run_dir(args.checkpoints, kg)
     cfg = saved.config
     # refuse an unusable output path before the instance is detected and scored
@@ -305,7 +327,8 @@ def _cmd_report(args) -> int:
 
 
 def run(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     return args.func(args)
 
 

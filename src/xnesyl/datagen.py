@@ -20,6 +20,7 @@ Dataset file format (JSON Lines, UTF-8), one instance per line::
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,6 +38,7 @@ __all__ = [
     "part_means",
     "write_dataset",
     "read_dataset",
+    "locate_instance",
     "split_dataset",
 ]
 
@@ -205,66 +207,123 @@ def write_dataset(instances: list[SceneInstance], path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
+def _dataset_lines(p: Path):
+    """(line number, parsed JSON) of every non-blank line of the dataset file `p`.
+
+    Every line must hold a string id that no other line repeats.
+    """
+    if not p.exists():
+        raise ValidationError(f"dataset file not found: {p}")
+    data = p.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the bytes before the bad one decode; number the lines as a text-mode file would
+        before = io.StringIO(data[: exc.start].decode("utf-8") + "?", newline=None)
+        raise ValidationError(f"{p}:{len(before.readlines())}: not UTF-8 text: {exc}") from exc
+    id_lines: dict[str, int] = {}
+    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
+        if not line.strip():
+            continue
+        try:
+            doc = json.loads(line)
+            inst_id = doc["id"]
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{p}:{lineno}: malformed JSON line: {exc}") from exc
+        except (KeyError, TypeError) as exc:
+            raise ValidationError(f"{p}:{lineno}: missing or malformed field: {exc}") from exc
+        if not isinstance(inst_id, str):
+            raise ValidationError(f"{p}:{lineno}: instance id must be a string")
+        if inst_id in id_lines:
+            raise ValidationError(
+                f"{p}:{lineno}: duplicate instance id {inst_id!r} "
+                f"(first at line {id_lines[inst_id]})"
+            )
+        id_lines[inst_id] = lineno
+        yield lineno, doc
+
+
+def _line_instance(
+    p: Path, lineno: int, doc: dict, kg: KnowledgeGraph, feature_dim: tuple[int, int] | None
+) -> SceneInstance:
+    """The validated instance of a line `_dataset_lines` yielded.
+
+    Its labels must belong to `kg`, and every region's feature dimension
+    must equal `feature_dim` (dimension, line it was first seen on), or
+    the line's first region's when that is None.
+    """
+    try:
+        regions = tuple(Region(r["part_class"], r["features"]) for r in doc["regions"])
+        inst = SceneInstance(doc["id"], doc["object_class"], regions)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"{p}:{lineno}: missing or malformed field: {exc}") from exc
+    if inst.gt_object_class not in kg.object_classes:
+        raise ValidationError(f"{p}:{lineno}: unknown object class {inst.gt_object_class!r}")
+    for r in inst.regions:
+        if r.gt_part_class not in kg.part_classes:
+            raise ValidationError(f"{p}:{lineno}: unknown part class {r.gt_part_class!r}")
+    dim, first_line = feature_dim or (inst.regions[0].features.shape[0], lineno)
+    for r in inst.regions:
+        if r.features.shape[0] != dim:
+            raise ValidationError(
+                f"{p}:{lineno}: region feature dimension {r.features.shape[0]} "
+                f"differs from {dim} (line {first_line})"
+            )
+    return inst
+
+
 def read_dataset(path: str | Path, kg: KnowledgeGraph) -> list[SceneInstance]:
     """Read a JSONL dataset whose labels all belong to `kg`.
 
-    Rejects, naming file and line, duplicate instance ids (per-id results
-    would collide) and regions whose feature dimension differs from the
-    first region's.
+    Rejects, naming file and line, text that is not UTF-8, duplicate
+    instance ids (per-id results would collide) and regions whose feature
+    dimension differs from the first region's.
     """
     p = Path(path)
-    if not p.exists():
-        raise ValidationError(f"dataset file not found: {p}")
     instances: list[SceneInstance] = []
-    id_lines: dict[str, int] = {}
-    feature_dim: tuple[int, int] | None = None  # (dimension, line it was first seen on)
-    with p.open(encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"{p}:{lineno}: malformed JSON line: {exc}") from exc
-            try:
-                regions = tuple(
-                    Region(r["part_class"], r["features"]) for r in doc["regions"]
-                )
-                inst = SceneInstance(doc["id"], doc["object_class"], regions)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValidationError(f"{p}:{lineno}: missing or malformed field: {exc}") from exc
-            if inst.gt_object_class not in kg.object_classes:
-                raise ValidationError(
-                    f"{p}:{lineno}: unknown object class {inst.gt_object_class!r}"
-                )
-            for r in inst.regions:
-                if r.gt_part_class not in kg.part_classes:
-                    raise ValidationError(
-                        f"{p}:{lineno}: unknown part class {r.gt_part_class!r}"
-                    )
-            if not isinstance(inst.id, str):
-                raise ValidationError(f"{p}:{lineno}: instance id must be a string")
-            if inst.id in id_lines:
-                raise ValidationError(
-                    f"{p}:{lineno}: duplicate instance id {inst.id!r} "
-                    f"(first at line {id_lines[inst.id]})"
-                )
-            id_lines[inst.id] = lineno
-            for r in inst.regions:
-                if feature_dim is None:
-                    feature_dim = (r.features.shape[0], lineno)
-                elif r.features.shape[0] != feature_dim[0]:
-                    raise ValidationError(
-                        f"{p}:{lineno}: region feature dimension {r.features.shape[0]} "
-                        f"differs from {feature_dim[0]} (line {feature_dim[1]})"
-                    )
-            instances.append(inst)
+    feature_dim: tuple[int, int] | None = None
+    for lineno, doc in _dataset_lines(p):
+        inst = _line_instance(p, lineno, doc, kg, feature_dim)
+        feature_dim = feature_dim or (inst.regions[0].features.shape[0], lineno)
+        instances.append(inst)
     return instances
+
+
+def locate_instance(
+    path: str | Path, kg: KnowledgeGraph, instance_id: str
+) -> tuple[int, SceneInstance] | None:
+    """`instance_id`'s index in its split and its instance; None if no line holds it.
+
+    Places the instance as `split_dataset(read_dataset(path, kg))` does,
+    but of the other lines reads only the ids.
+    """
+    p = Path(path)
+    ids: list[str] = []
+    found = None
+    for lineno, doc in _dataset_lines(p):
+        ids.append(doc["id"])
+        if doc["id"] == instance_id:
+            found = (len(ids) - 1, _line_instance(p, lineno, doc, kg, None))
+    if found is None:
+        return None
+    position, inst = found
+    for split in _split_positions(ids):
+        if position in split:
+            return split.index(position), inst
 
 
 def _id_rank(instance_id: str) -> int:
     # Platform-stable hash; Python's builtin hash() is salted per process.
     return int.from_bytes(hashlib.sha256(instance_id.encode("utf-8")).digest()[:8], "big")
+
+
+def _split_positions(ids: list[str]) -> tuple[list[int], list[int], list[int]]:
+    """Positions in `ids` of the train, val and test splits, each in hash-rank order."""
+    keys = [(_id_rank(instance_id), instance_id) for instance_id in ids]
+    ranked = sorted(range(len(ids)), key=keys.__getitem__)
+    n_train = round(len(ids) * 0.6)
+    n_val = round(len(ids) * 0.2)
+    return ranked[:n_train], ranked[n_train : n_train + n_val], ranked[n_train + n_val :]
 
 
 def split_dataset(
@@ -275,11 +334,5 @@ def split_dataset(
     Ranking (rather than thresholding) the hashes yields exact split
     sizes while staying a pure function of the instance ids.
     """
-    ranked = sorted(instances, key=lambda inst: (_id_rank(inst.id), inst.id))
-    n = len(ranked)
-    n_train = round(n * 0.6)
-    n_val = round(n * 0.2)
-    train = ranked[:n_train]
-    val = ranked[n_train : n_train + n_val]
-    test = ranked[n_train + n_val :]
-    return train, val, test
+    splits = _split_positions([inst.id for inst in instances])
+    return tuple([instances[i] for i in split] for split in splits)

@@ -176,7 +176,11 @@ def load_kg(path: str | Path) -> KnowledgeGraph:
     p = Path(path)
     if not p.exists():
         raise ValidationError(f"knowledge graph file not found: {p}")
-    return loads_kg(p.read_text(encoding="utf-8"))
+    try:
+        text = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{p}: knowledge graph file is not UTF-8 text: {exc}") from exc
+    return loads_kg(text)
 
 
 def dumps_kg(kg: KnowledgeGraph) -> str:

@@ -13,6 +13,7 @@ import pytest
 
 from xnesyl.cli import build_parser, main
 from xnesyl.datagen import GeneratorConfig, read_dataset, split_dataset
+from xnesyl.errors import ValidationError
 from xnesyl.kg import KnowledgeGraph, dumps_kg, monumai_kg
 from xnesyl.training import TrainConfig
 
@@ -187,6 +188,41 @@ class TestMalformedDataset:
         assert self._train(kg_path, tmp_path, lines) == 3
         err = capsys.readouterr().err
         assert "bad.jsonl:3:" in err and "duplicate instance id 'inst-a'" in err
+
+
+class TestNonUtf8Input:
+    """A --data or --kg file that is not UTF-8 exits 3 with one line naming it."""
+
+    @pytest.mark.parametrize(
+        "command, bad",
+        [("gen", "kg")] + [(c, b) for c in ("train", "eval", "explain") for b in ("data", "kg")],
+    )
+    def test_exits_3_naming_the_file(self, kg_path, run_dir, tmp_path, capsys, command, bad):
+        bad_path = tmp_path / "bad.json"
+        bad_path.write_bytes(b'\xff\xfe{"id": 1}\n')
+        kg = str(bad_path) if bad == "kg" else kg_path
+        data = str(bad_path) if bad == "data" else run_dir["data"]
+        argv = {
+            "gen": ["gen", "--kg", kg, "--out", str(tmp_path / "out.jsonl"), "--count", "5"],
+            "train": [
+                "train", "--kg", kg, "--data", data, "--out-dir", str(tmp_path / "run"),
+                "--epochs-det", "1", "--epochs-clf", "1",
+            ],
+            "eval": [
+                "eval", "--kg", kg, "--data", data, "--checkpoints", run_dir["out"],
+                "--out", str(tmp_path / "eval.json"),
+            ],
+            "explain": [
+                "explain", "--kg", kg, "--data", data, "--checkpoints", run_dir["out"],
+                "--instance-id", "inst-000000", "--out-dir", str(tmp_path / "x"),
+            ],
+        }[command]
+        capsys.readouterr()
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        where = f"{bad_path}:1: " if bad == "data" else f"{bad_path}: "
+        assert err.startswith(f"error: {where}") and "not UTF-8 text" in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 class TestEval:
@@ -447,6 +483,101 @@ class TestExplain:
             assert feature == repr(float(v[j]))
             assert shap == repr(float(values[k, j]))
             assert float(shap) == values[k, j]
+
+
+def _reference_locate(path, kg, instance_id):
+    """`(index, instance)` found as `explain` did before it read only one line."""
+    for split in split_dataset(read_dataset(path, kg)):
+        for index, inst in enumerate(split):
+            if inst.id == instance_id:
+                return index, inst
+    return None
+
+
+def _sag_files(out_dir, inst_id):
+    return {ext: (out_dir / f"sag-{inst_id}.{ext}").read_bytes() for ext in ("dot", "json", "csv")}
+
+
+class TestExplainReadsItsOwnLine:
+    """`explain` validates its own line in full and every other line only for its id."""
+
+    # each edit makes one line's instance invalid
+    EDITS = {
+        "unknown-part": lambda doc: doc["regions"][0].update(part_class="flying buttress"),
+        "non-finite": lambda doc: doc["regions"][0].update(features=[float("nan")] * 6),
+        "other-dimension": lambda doc: doc["regions"][0]["features"].append(0.0),
+    }
+
+    @staticmethod
+    def _explain(kg_path, run_dir, data, inst_id, out_dir):
+        return main([
+            "explain", "--kg", kg_path, "--data", str(data), "--checkpoints", run_dir["out"],
+            "--instance-id", inst_id, "--out-dir", str(out_dir),
+        ])
+
+    @staticmethod
+    def _edited(run_dir, tmp_path, lineno, edit):
+        """The run's dataset with `edit` applied to the raw text or the document of line `lineno`."""
+        lines = open(run_dir["data"], encoding="utf-8").read().splitlines()
+        if callable(edit):
+            doc = json.loads(lines[lineno - 1])
+            edit(doc)
+            edit = json.dumps(doc)
+        lines[lineno - 1] = edit
+        path = tmp_path / "edited.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("split", [0, 1, 2], ids=["train", "val", "test"])
+    def test_agrees_with_reading_the_whole_split(
+        self, kg_path, run_dir, tmp_path, monkeypatch, split
+    ):
+        inst = split_dataset(read_dataset(run_dir["data"], monumai_kg()))[split][1]
+        assert self._explain(kg_path, run_dir, run_dir["data"], inst.id, tmp_path / "a") == 0
+        monkeypatch.setattr("xnesyl.cli.locate_instance", _reference_locate)
+        assert self._explain(kg_path, run_dir, run_dir["data"], inst.id, tmp_path / "b") == 0
+        assert _sag_files(tmp_path / "a", inst.id) == _sag_files(tmp_path / "b", inst.id)
+
+    @pytest.mark.parametrize("edit", sorted(EDITS))
+    def test_ignores_another_lines_instance(self, kg_path, run_dir, tmp_path, edit):
+        inst_id = json.loads(open(run_dir["data"]).readlines()[-1])["id"]
+        assert self._explain(kg_path, run_dir, run_dir["data"], inst_id, tmp_path / "a") == 0
+        edited = self._edited(run_dir, tmp_path, 2, self.EDITS[edit])
+        with pytest.raises(ValidationError):
+            read_dataset(edited, monumai_kg())
+        assert self._explain(kg_path, run_dir, edited, inst_id, tmp_path / "b") == 0
+        assert _sag_files(tmp_path / "a", inst_id) == _sag_files(tmp_path / "b", inst_id)
+
+    @pytest.mark.parametrize("edit", sorted(EDITS))
+    def test_own_malformed_line_exits_3(self, kg_path, run_dir, tmp_path, capsys, edit):
+        inst_id = json.loads(open(run_dir["data"]).readlines()[4])["id"]
+        edited = self._edited(run_dir, tmp_path, 5, self.EDITS[edit])
+        capsys.readouterr()
+        assert self._explain(kg_path, run_dir, edited, inst_id, tmp_path / "x") == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {edited}:5: ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("{not json", "malformed JSON line"),
+            ('{"object_class": "Gothic", "regions": []}', "missing or malformed field: 'id'"),
+            ('{"id": 7}', "instance id must be a string"),
+            ('{"id": "inst-000000"}', "duplicate instance id 'inst-000000'"),
+        ],
+        ids=["not-json", "no-id", "non-string-id", "repeated-id"],
+    )
+    def test_any_line_without_a_fresh_id_exits_3(
+        self, kg_path, run_dir, tmp_path, capsys, line, message
+    ):
+        lines = open(run_dir["data"], encoding="utf-8").read().splitlines()
+        inst_id = json.loads(lines[-1])["id"]
+        assert json.loads(lines[0])["id"] == "inst-000000" != inst_id
+        edited = self._edited(run_dir, tmp_path, 6, line)
+        capsys.readouterr()
+        assert self._explain(kg_path, run_dir, edited, inst_id, tmp_path / "x") == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {edited}:6: {message}") and len(err.splitlines()) == 1
 
 
 class TestCheckpointAgainstKg:
@@ -773,3 +904,35 @@ class TestSettingsDeclaredOnce:
             seed=0, feature_dim=args.dim, regions_per_instance=(int(lo), int(hi)),
             noise_rate=args.noise, separation=args.sep,
         ) == GeneratorConfig(seed=0)
+
+
+class TestPerCommandParser:
+    """A run builds only its command's parser, and prints what the full parser prints."""
+
+    @staticmethod
+    def _outcome(parse, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        out, err = capsys.readouterr()
+        return exc.value.code, out, err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--help"], [], ["bogus"], ["train", "--bogus"], ["train", "--mode", "fast"],
+         ["explain", "--kg", "k", "--data", "d", "--checkpoints", "c", "--instance-id", "i", "extra"],
+         ["report", "--runs", "r", "--bogus"]]
+        + [[command, "--help"] for command in ("gen", "train", "eval", "explain", "report")]
+        + [[command] for command in ("gen", "train", "eval", "explain", "report")],
+    )
+    def test_output_matches_full_parser(self, argv, capsys):
+        assert self._outcome(main, argv, capsys) == self._outcome(
+            build_parser().parse_args, argv, capsys
+        )
+
+    def test_builds_only_the_named_command(self):
+        (subparsers,) = [
+            action for action in build_parser("eval")._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        assert list(subparsers.choices) == ["eval"]
+        assert build_parser("bogus").format_help() == build_parser().format_help()

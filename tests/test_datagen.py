@@ -6,6 +6,7 @@ import pytest
 from xnesyl.datagen import (
     GeneratorConfig,
     generate_dataset,
+    locate_instance,
     part_means,
     read_dataset,
     split_dataset,
@@ -151,6 +152,19 @@ class TestRoundTrip:
         with pytest.raises(ValidationError, match="bad.jsonl:1: missing or malformed field"):
             read_dataset(path, monumai)
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_non_utf8_line_reports_line(self, monumai, tmp_path, newline):
+        path = tmp_path / "bad.jsonl"
+        lines = [
+            f'{{"id": "i{i}", "object_class": "Gothic", '
+            '"regions": [{"part_class": "pointed arch", "features": [0.0, 1.0]}]}'
+            for i in range(2)
+        ]
+        text = newline.join(lines) + newline
+        path.write_bytes(text.encode("utf-8") + b'{"id": "\xff"}\n')
+        with pytest.raises(ValidationError, match="bad.jsonl:3: not UTF-8 text"):
+            read_dataset(path, monumai)
+
 
 class TestSplit:
     def test_exact_proportions(self, monumai):
@@ -169,3 +183,37 @@ class TestSplit:
         train, val, test = split_dataset(instances)
         ids = [i.id for i in train] + [i.id for i in val] + [i.id for i in test]
         assert sorted(ids) == sorted(i.id for i in instances)
+
+
+def _write_generated(kg, tmp_path, count):
+    instances = generate_dataset(kg, GeneratorConfig(seed=count, regions_per_instance=(1, 2)), count)
+    path = tmp_path / f"data-{count}.jsonl"
+    write_dataset(instances, path)
+    return path
+
+
+class TestLocateInstance:
+    # 60/20/20 cuts never land on .5; these sizes take every n mod 5, so
+    # each cut rounds both up and down, and include one- and two-line files
+    @pytest.mark.parametrize("count", [1, 2, 3, 4, 5, 6, 8, 11, 14, 37, 60])
+    def test_agrees_with_split(self, monumai, tmp_path, count):
+        path = _write_generated(monumai, tmp_path, count)
+        splits = split_dataset(read_dataset(path, monumai))
+        for split in splits:
+            for index, inst in enumerate(split):
+                assert locate_instance(path, monumai, inst.id) == (index, inst)
+
+    def test_unknown_id_is_none(self, monumai, tmp_path):
+        path = _write_generated(monumai, tmp_path, 5)
+        assert locate_instance(path, monumai, "inst-999999") is None
+
+    def test_reads_other_lines_only_for_their_ids(self, monumai, tmp_path):
+        path = _write_generated(monumai, tmp_path, 6)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[1] = '{"id": "inst-000001", "regions": "not a list"}'
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match="data-6.jsonl:2: missing or malformed field"):
+            read_dataset(path, monumai)
+        assert locate_instance(path, monumai, "inst-000000")[1].id == "inst-000000"
+        with pytest.raises(ValidationError, match="data-6.jsonl:2: missing or malformed field"):
+            locate_instance(path, monumai, "inst-000001")

@@ -69,6 +69,12 @@ class TestLoad:
         path.write_text(dumps_kg(monumai), encoding="utf-8")
         assert load_kg(path) == monumai
 
+    def test_non_utf8_file_names_the_file(self, monumai, tmp_path):
+        path = tmp_path / "kg.json"
+        path.write_bytes(b"\xff\xfe" + dumps_kg(monumai).encode("utf-8"))
+        with pytest.raises(ValidationError, match=r"kg\.json: knowledge graph file is not UTF-8"):
+            load_kg(path)
+
     def test_order_preserved(self, monumai):
         reloaded = loads_kg(dumps_kg(monumai))
         assert reloaded.object_classes == monumai.object_classes
