@@ -28,7 +28,8 @@ import numpy as np
 from .alignment import SCHEME_KINDS, WeightScheme, instance_attribution, sag_to_dot, sag_to_json
 from .classifier import load_classifier, save_classifier
 from .datagen import (
-    GeneratorConfig, generate_dataset, locate_instance, read_dataset, split_dataset, write_dataset,
+    GeneratorConfig, check_feature_dim, generate_dataset, locate_instance, read_dataset,
+    read_test_split, split_dataset, write_dataset,
 )
 from .detector import AGGREGATIONS, load_detector, save_detector
 from .errors import NumericalError, ValidationError, read_json_array, read_json_object
@@ -250,8 +251,9 @@ def _cmd_train(args, parser: argparse.ArgumentParser) -> int:
 
 def _cmd_eval(args) -> int:
     kg = load_kg(args.kg)
-    test_split = split_dataset(read_dataset(args.data, kg))[2]
+    test_split = read_test_split(args.data, kg)
     saved = _load_run_dir(args.checkpoints, kg)
+    check_feature_dim(args.data, test_split, saved.detector.feature_dim)
     out_path = Path(args.out) if args.out else Path(args.checkpoints) / "eval_metrics.json"
     # refuse an output under a missing directory before the split is scored
     if not out_path.parent.is_dir():
@@ -272,6 +274,7 @@ def _cmd_explain(args) -> int:
         raise ValidationError(f"--instance-id {args.instance_id!r} not found in {args.data}")
     index, inst = located
     saved = _load_run_dir(args.checkpoints, kg)
+    check_feature_dim(args.data, [inst], saved.detector.feature_dim)
     cfg = saved.config
     # refuse an unusable output path before the instance is detected and scored
     out_dir = Path(args.out_dir) if args.out_dir else Path(args.checkpoints)

@@ -38,6 +38,8 @@ __all__ = [
     "part_means",
     "write_dataset",
     "read_dataset",
+    "read_test_split",
+    "check_feature_dim",
     "locate_instance",
     "split_dataset",
 ]
@@ -272,6 +274,18 @@ def _line_instance(
     return inst
 
 
+def _instances(p: Path, lines, kg: KnowledgeGraph) -> list[SceneInstance]:
+    """The validated instances of `lines`, (line number, document) pairs in
+    file order; every region's feature dimension must equal the first's."""
+    instances: list[SceneInstance] = []
+    feature_dim: tuple[int, int] | None = None
+    for lineno, doc in lines:
+        inst = _line_instance(p, lineno, doc, kg, feature_dim)
+        feature_dim = feature_dim or (inst.regions[0].features.shape[0], lineno)
+        instances.append(inst)
+    return instances
+
+
 def read_dataset(path: str | Path, kg: KnowledgeGraph) -> list[SceneInstance]:
     """Read a JSONL dataset whose labels all belong to `kg`.
 
@@ -280,13 +294,38 @@ def read_dataset(path: str | Path, kg: KnowledgeGraph) -> list[SceneInstance]:
     dimension differs from the first region's.
     """
     p = Path(path)
-    instances: list[SceneInstance] = []
-    feature_dim: tuple[int, int] | None = None
-    for lineno, doc in _dataset_lines(p):
-        inst = _line_instance(p, lineno, doc, kg, feature_dim)
-        feature_dim = feature_dim or (inst.regions[0].features.shape[0], lineno)
-        instances.append(inst)
-    return instances
+    return _instances(p, _dataset_lines(p), kg)
+
+
+def read_test_split(path: str | Path, kg: KnowledgeGraph) -> list[SceneInstance]:
+    """`split_dataset(read_dataset(path, kg))[2]`, validating only the test lines.
+
+    Every line must hold a fresh string id, because the split ranks all
+    ids; only the test split's lines are built and checked as
+    `read_dataset` checks every line, feature dimensions against the
+    first test line's.
+    """
+    p = Path(path)
+    lines = list(_dataset_lines(p))
+    test = _split_positions([doc["id"] for _, doc in lines])[2]
+    in_file = sorted(test)
+    by_position = dict(zip(in_file, _instances(p, [lines[i] for i in in_file], kg)))
+    return [by_position[i] for i in test]
+
+
+def check_feature_dim(path: str | Path, instances: list[SceneInstance], dim: int) -> None:
+    """Refuse, naming file and line, the first instance of `path` in file
+    order whose features are not `dim` wide."""
+    widths = {inst.id: inst.regions[0].features.shape[0] for inst in instances}
+    wrong = {inst_id: width for inst_id, width in widths.items() if width != dim}
+    if wrong:
+        p = Path(path)
+        lineno, inst_id = next(
+            (lineno, doc["id"]) for lineno, doc in _dataset_lines(p) if doc["id"] in wrong
+        )
+        raise ValidationError(
+            f"{p}:{lineno}: features have dim {wrong[inst_id]}, detector expects {dim}"
+        )
 
 
 def locate_instance(

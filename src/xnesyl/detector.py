@@ -98,9 +98,9 @@ class DetectionSet:
         probs = np.asarray(self.probabilities, dtype=np.float64)
         if probs.ndim != 2:
             raise ValidationError("detections must form an (M, n) array")
+        # the test of np.allclose(sums, 1.0, rtol=0.0, atol=1e-9), without its overhead
         if probs.shape[0] and (
-            np.any(probs < 0)
-            or not np.allclose(probs.sum(axis=1), 1.0, rtol=0.0, atol=1e-9)
+            np.any(probs < 0) or not np.all(np.abs(probs.sum(axis=1) - 1.0) <= 1e-9)
         ):
             raise ValidationError("each detection row must be a probability vector")
         object.__setattr__(self, "probabilities", probs)

@@ -20,9 +20,10 @@ of `SHAP_MODES` to one of two independent estimators:
   descriptors keep all n features live and cost 2^n. The n <= 16 guard
   applies to n, not to the live count. It is the oracle for the kernel
   estimator. A stack, such as the whole test split that scoring reads, is
-  scored in one call: the reduced games of every row form one list, each
-  game is evaluated by the evaluator of the model's kind, and each row
-  gets the attributions it gets alone, bit for bit.
+  scored in one call: one `np.unique` of integer (row, live pattern) keys
+  lists the reduced games of every row, each game is evaluated by the
+  evaluator of the model's kind, and one `np.add.at` scatters them into
+  their rows, so each row gets the attributions it gets alone, bit for bit.
 * "kernel" (`kernel_shap_stack`, whose one-row call is
   `kernel_shap_matrix`) solves the weighted least-squares system with the
   Shapley kernel weight (n-1) / (C(n,|z|) |z| (n-|z|)), with the empty and
@@ -326,46 +327,6 @@ def _check_inputs(x: np.ndarray, bg: BackgroundSet, stacked: bool = False) -> np
     return x
 
 
-def _layered_game_parts(
-    model: LayeredModel, x: np.ndarray, bg: BackgroundSet, games: list[tuple]
-) -> list[np.ndarray]:
-    """Exact attributions of each reduced game through the first layer.
-
-    Games with the same live count L, from any row, are packed side by
-    side, fewest references first, up to _PACK_ELEMENTS, and evaluated and
-    combined a pack at a time; a game past that alone is a pack of one.
-    Returns one (m, L) part per game, in the order of `games`.
-    """
-    weight, _ = _first_layer(model, x.shape[1])
-    parts = {}
-    for live_count in sorted({live.size for _, live, _ in games}):
-        # fewest references first, so games with as many sit side by side
-        members = sorted(
-            (k for k, (_, live, _) in enumerate(games) if live.size == live_count),
-            key=lambda k: games[k][2].size,
-        )
-        capacity = _PACK_ELEMENTS // (weight.shape[0] << live_count)
-        packs, held = [[]], 0
-        for k in members:
-            if packs[-1] and held + games[k][2].size > capacity:
-                packs.append([])
-                held = 0
-            packs[-1].append(k)
-            held += games[k][2].size
-        for pack in packs:
-            sizes = [games[k][2].size for k in pack]
-            rows = bg.vectors[np.concatenate([games[k][2] for k in pack])]
-            live = np.repeat([games[k][1] for k in pack], sizes, axis=0)
-            at = np.arange(rows.shape[0])[:, None]
-            gaps = x[np.repeat([games[k][0] for k in pack], sizes)][at, live] - rows[at, live]
-            values = _layered_game_values(model, rows, live, gaps, sizes)
-            # class-major tables read coalition-major: each game's combine
-            # then runs over the layout its table has when evaluated alone
-            combined = _exact_from_values(values.transpose(0, 2, 1), live_count)
-            parts.update(zip(pack, combined))
-    return [parts[k] for k in range(len(games))]
-
-
 def exact_shap_stack(model: Model, x: np.ndarray, bg: BackgroundSet) -> np.ndarray:
     """Exact attributions of a stack of descriptors (N, n); (N, m, n).
 
@@ -373,12 +334,19 @@ def exact_shap_stack(model: Model, x: np.ndarray, bg: BackgroundSet) -> np.ndarr
     games, and Shapley values are linear in the game. In the game of one
     reference b, every feature with x_j == b_j is a null player, so only
     the live features (x_j != b_j) are enumerated. References sharing a
-    live pattern share one reduced game. The games of every row form one
-    list, each evaluated through the first layer of a `LayeredModel`
-    (`_layered_game_parts`) or on the composite rows of any other callable
-    (`_coalition_values`) and added into its row weighted by its share of
-    the background. Each row's attributions are the ones
-    `exact_shap_matrix` gives it alone, bit for bit.
+    live pattern share one reduced game.
+
+    Each (row, reference) pair gets the integer key row << n | pattern,
+    column 0 the pattern's top bit, so key order is `np.unique(axis=0)`'s
+    order of each row's patterns, and one `np.unique` of the keys lists
+    every game of the stack. A `LayeredModel` evaluates them by live
+    count, fewest references first, packed side by side up to
+    _PACK_ELEMENTS (a game past that alone is a pack of one), through its
+    first layer (`_layered_game_values`); any other callable evaluates one
+    game at a time on its composite rows (`_coalition_values`). One
+    unbuffered `np.add.at` adds each game, weighted by its share of the
+    background, into its row in key order, so each row gets the
+    attributions `exact_shap_matrix` gives it alone, bit for bit.
     """
     x = _check_inputs(x, bg, stacked=True)
     count, n = x.shape
@@ -387,27 +355,59 @@ def exact_shap_stack(model: Model, x: np.ndarray, bg: BackgroundSet) -> np.ndarr
             f"exact enumeration refuses n={n} > {EXACT_MAX_FEATURES} features; "
             "use the kernel mode (kernel_shap_matrix) instead"
         )
-    games = []  # (row, live columns, references), each row's groups in np.unique order
-    for i, row in enumerate(x):
-        patterns, group = np.unique(row != bg.vectors, axis=0, return_inverse=True)
-        games += [
-            (i, np.flatnonzero(pattern), np.flatnonzero(group == g))
-            for g, pattern in enumerate(patterns)
-            if pattern.any()  # a game with no live feature contributes exactly 0
-        ]
-    if not games:  # every row equals every reference
+    bits = 1 << np.arange(n - 1, -1, -1)
+    codes = (x[:, None, :] != bg.vectors) @ bits  # (N, B) live patterns
+    keys, game, sizes = np.unique(
+        (np.arange(count)[:, None] << n | codes).ravel(), return_inverse=True, return_counts=True
+    )
+    live = (keys & (1 << n) - 1) != 0  # a game with no live feature contributes exactly 0
+    if not live.any():  # every row equals every reference
         return np.zeros((count, np.asarray(model(x[:1])).shape[1], n))
-    if _is_layered(model):
-        parts = _layered_game_parts(model, x, bg, games)
+    keys, sizes = keys[live], sizes[live]
+    masks = (keys[:, None] & bits) != 0  # (G, n) live columns of each game
+    live_counts = masks.sum(axis=1)
+    layered = _is_layered(model)
+    # layered games by live count, fewest references first; others in key order
+    order = np.lexsort((sizes, live_counts)) if layered else np.arange(keys.size)
+    rank = np.full(live.size, keys.size)
+    rank[np.flatnonzero(live)[order]] = np.arange(keys.size)
+    # every (row, reference) pair by its game's rank, game order[k]'s from firsts[k]
+    held = np.argsort(rank[game], kind="stable")
+    firsts = np.concatenate([[0], np.cumsum(sizes[order])])
+    parts = []  # (G, m, L) attributions of the games in `order`
+    if layered:
+        capacity = _PACK_ELEMENTS // _first_layer(model, n)[0].shape[0]
+        bounds, total = [], 0
+        counts, ref_counts = live_counts[order].tolist(), sizes[order].tolist()
+        for k, size in enumerate(ref_counts):
+            total += size
+            if not k or counts[k] != counts[k - 1] or total > capacity >> counts[k]:
+                bounds.append(k)
+                total = size
+        for first, last in zip(bounds, bounds[1:] + [order.size]):
+            games, pack = order[first:last], held[firsts[first] : firsts[last]]
+            rows = bg.vectors[pack % bg.size]
+            columns = masks[games].nonzero()[1].reshape(games.size, -1)
+            columns = np.repeat(columns, sizes[games], axis=0)
+            at = np.arange(rows.shape[0])[:, None]
+            gaps = x[pack // bg.size][at, columns] - rows[at, columns]
+            values = _layered_game_values(model, rows, columns, gaps, ref_counts[first:last])
+            # class-major tables read coalition-major: each game's combine
+            # then runs over the layout its table has when evaluated alone
+            parts.append(_exact_from_values(values.transpose(0, 2, 1), counts[first]))
     else:
-        parts = []
-        for i, live, refs in games:
-            masks = _live_masks(np.isin(np.arange(n), live))
-            values = _coalition_values(model, x[i], BackgroundSet(bg.vectors[refs]), masks)
-            parts.append(_exact_from_values(values, live.size))
-    shap = np.zeros((count, parts[0].shape[0], n))
-    for (i, live, refs), part in zip(games, parts):
-        shap[i][:, live] += part * (refs.size / bg.size)
+        for g, first, last in zip(order, firsts, firsts[1:]):
+            subset = BackgroundSet(bg.vectors[held[first:last] % bg.size])
+            values = _coalition_values(model, x[keys[g] >> n], subset, _live_masks(masks[g]))
+            parts.append(_exact_from_values(values, int(live_counts[g]))[None])
+    # one (m,) entry per (game, live column), stably into key order
+    values = np.concatenate([part.transpose(0, 2, 1).reshape(-1, part.shape[1]) for part in parts])
+    values = values[np.argsort(np.repeat(order, live_counts[order]), kind="stable")]
+    values *= np.repeat(sizes / bg.size, live_counts)[:, None]
+    owners, columns = np.repeat(keys >> n, live_counts)[:, None], masks.nonzero()[1][:, None]
+    shap = np.zeros((count, values.shape[1], n))
+    # unbuffered and in entry order: each element sums its games as a loop over them would
+    np.add.at(shap, (owners, np.arange(values.shape[1]), columns), values)
     return shap
 
 

@@ -580,6 +580,121 @@ class TestExplainReadsItsOwnLine:
         assert err.startswith(f"error: {edited}:6: {message}") and len(err.splitlines()) == 1
 
 
+def _line_of_split(run_dir, split, which=0):
+    """The 1-based line of the `which`-th instance (in file order) of `split`."""
+    ids = {inst.id for inst in split_dataset(read_dataset(run_dir["data"], monumai_kg()))[split]}
+    lines = open(run_dir["data"], encoding="utf-8").read().splitlines()
+    return [i + 1 for i, line in enumerate(lines) if json.loads(line)["id"] in ids][which]
+
+
+class TestEvalReadsItsTestSplit:
+    """`eval` validates the test split's lines in full and every other line only for its id."""
+
+    EDITS = TestExplainReadsItsOwnLine.EDITS
+    _edited = staticmethod(TestExplainReadsItsOwnLine._edited)
+
+    @staticmethod
+    def _eval(kg_path, run_dir, data, out):
+        return main([
+            "eval", "--kg", kg_path, "--data", str(data), "--checkpoints", run_dir["out"],
+            "--out", str(out),
+        ])
+
+    @pytest.mark.parametrize("edit", sorted(EDITS))
+    @pytest.mark.parametrize("split", [0, 1], ids=["train", "val"])
+    def test_ignores_other_splits_instances(self, kg_path, run_dir, tmp_path, split, edit):
+        assert self._eval(kg_path, run_dir, run_dir["data"], tmp_path / "clean.json") == 0
+        edited = self._edited(run_dir, tmp_path, _line_of_split(run_dir, split), self.EDITS[edit])
+        with pytest.raises(ValidationError):
+            read_dataset(edited, monumai_kg())
+        assert self._eval(kg_path, run_dir, edited, tmp_path / "edited.json") == 0
+        assert (tmp_path / "edited.json").read_bytes() == (tmp_path / "clean.json").read_bytes()
+
+    @pytest.mark.parametrize("edit", sorted(EDITS))
+    def test_malformed_test_line_exits_3(self, kg_path, run_dir, tmp_path, capsys, edit):
+        # the second test line, so a dimension fault is one against the first's
+        lineno = _line_of_split(run_dir, 2, 1)
+        edited = self._edited(run_dir, tmp_path, lineno, self.EDITS[edit])
+        capsys.readouterr()
+        assert self._eval(kg_path, run_dir, edited, tmp_path / "x.json") == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {edited}:{lineno}: ") and len(err.splitlines()) == 1
+        assert "Traceback" not in err and not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("{not json", "malformed JSON line"),
+            ('{"object_class": "Gothic", "regions": []}', "missing or malformed field: 'id'"),
+            ('{"id": 7}', "instance id must be a string"),
+            ('{"id": "inst-000000"}', "duplicate instance id 'inst-000000'"),
+        ],
+        ids=["not-json", "no-id", "non-string-id", "repeated-id"],
+    )
+    def test_any_line_without_a_fresh_id_exits_3(
+        self, kg_path, run_dir, tmp_path, capsys, line, message
+    ):
+        lineno = _line_of_split(run_dir, 0, 1)
+        edited = self._edited(run_dir, tmp_path, lineno, line)
+        capsys.readouterr()
+        assert self._eval(kg_path, run_dir, edited, tmp_path / "x.json") == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {edited}:{lineno}: {message}")
+        assert len(err.splitlines()) == 1
+
+
+class TestFeatureDimAgainstCheckpoint:
+    """Features of another width than the detector's name the data file and line."""
+
+    @staticmethod
+    def _widened(run_dir, tmp_path, linenos):
+        lines = open(run_dir["data"], encoding="utf-8").read().splitlines()
+        for lineno in linenos:
+            doc = json.loads(lines[lineno - 1])
+            for region in doc["regions"]:
+                region["features"].append(0.25)
+            lines[lineno - 1] = json.dumps(doc)
+        path = tmp_path / "widened.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return path, [json.loads(line)["id"] for line in lines]
+
+    def _run(self, kg_path, run_dir, tmp_path, capsys, command, data, inst_id, detect_calls):
+        argv = {
+            "eval": ["--out", str(tmp_path / "eval.json")],
+            "explain": ["--instance-id", inst_id, "--out-dir", str(tmp_path / "sag")],
+        }[command]
+        capsys.readouterr()
+        detect_calls.clear()
+        code = main([
+            command, "--kg", kg_path, "--data", str(data), "--checkpoints", run_dir["out"], *argv
+        ])
+        assert code == 3 and len(detect_calls) == 0
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        return err
+
+    def test_explain_of_one_wider_line(self, kg_path, run_dir, tmp_path, capsys, detect_calls):
+        data, ids = self._widened(run_dir, tmp_path, [5])
+        err = self._run(
+            kg_path, run_dir, tmp_path, capsys, "explain", data, ids[4], detect_calls
+        )
+        assert err == f"error: {data}:5: features have dim 7, detector expects 6\n"
+
+    def test_wider_file_names_one_line_for_eval_and_explain(
+        self, kg_path, run_dir, tmp_path, capsys, detect_calls
+    ):
+        lines = len(open(run_dir["data"], encoding="utf-8").read().splitlines())
+        data, ids = self._widened(run_dir, tmp_path, range(1, lines + 1))
+        # the first test line in file order: the one eval reports
+        lineno = _line_of_split(run_dir, 2)
+        expected = f"error: {data}:{lineno}: features have dim 7, detector expects 6\n"
+        for command in ("eval", "explain"):
+            err = self._run(
+                kg_path, run_dir, tmp_path, capsys, command, data, ids[lineno - 1], detect_calls
+            )
+            assert err == expected
+
+
 class TestCheckpointAgainstKg:
     @pytest.mark.parametrize("command", ["eval", "explain"])
     @pytest.mark.parametrize("field", ["part_classes", "object_classes"])

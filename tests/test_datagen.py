@@ -1,14 +1,18 @@
 """Synthetic dataset generation, serialization, and split determinism."""
 
+import json
+
 import numpy as np
 import pytest
 
 from xnesyl.datagen import (
     GeneratorConfig,
+    check_feature_dim,
     generate_dataset,
     locate_instance,
     part_means,
     read_dataset,
+    read_test_split,
     split_dataset,
     write_dataset,
 )
@@ -217,3 +221,53 @@ class TestLocateInstance:
         assert locate_instance(path, monumai, "inst-000000")[1].id == "inst-000000"
         with pytest.raises(ValidationError, match="data-6.jsonl:2: missing or malformed field"):
             locate_instance(path, monumai, "inst-000001")
+
+
+class TestReadTestSplit:
+    @pytest.mark.parametrize("count", [1, 2, 3, 4, 5, 6, 8, 11, 14, 37, 60])
+    def test_agrees_with_split(self, monumai, tmp_path, count):
+        path = _write_generated(monumai, tmp_path, count)
+        assert read_test_split(path, monumai) == split_dataset(read_dataset(path, monumai))[2]
+
+    @staticmethod
+    def _lines_by_split(path, kg):
+        """The dataset's documents, and the indices of its test and other lines."""
+        docs = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        test_ids = {inst.id for inst in read_test_split(path, kg)}
+        test = [i for i, doc in enumerate(docs) if doc["id"] in test_ids]
+        return docs, test, [i for i in range(len(docs)) if i not in test]
+
+    def test_reads_other_lines_only_for_their_ids(self, monumai, tmp_path):
+        path = _write_generated(monumai, tmp_path, 6)
+        clean = read_test_split(path, monumai)
+        docs, _, others = self._lines_by_split(path, monumai)
+        docs[others[0]]["regions"] = "not a list"
+        path.write_text("".join(json.dumps(doc) + "\n" for doc in docs), encoding="utf-8")
+        with pytest.raises(ValidationError, match=f":{others[0] + 1}: missing or malformed"):
+            read_dataset(path, monumai)
+        assert read_test_split(path, monumai) == clean
+
+    def test_test_lines_share_one_feature_dimension(self, monumai, tmp_path):
+        path = _write_generated(monumai, tmp_path, 14)
+        docs, test, _ = self._lines_by_split(path, monumai)
+        for region in docs[test[1]]["regions"]:
+            region["features"].append(0.5)
+        path.write_text("".join(json.dumps(doc) + "\n" for doc in docs), encoding="utf-8")
+        with pytest.raises(ValidationError) as err:
+            read_test_split(path, monumai)
+        assert str(err.value) == (
+            f"{path}:{test[1] + 1}: region feature dimension 9 differs from 8 (line {test[0] + 1})"
+        )
+
+
+class TestCheckFeatureDim:
+    def test_names_the_first_wrong_line_in_file_order(self, monumai, tmp_path):
+        path = _write_generated(monumai, tmp_path, 8)
+        instances = read_dataset(path, monumai)
+        check_feature_dim(path, instances, 8)
+        with pytest.raises(ValidationError) as err:
+            check_feature_dim(path, instances[::-1], 6)
+        assert str(err.value) == f"{path}:1: features have dim 8, detector expects 6"
+        with pytest.raises(ValidationError) as err:
+            check_feature_dim(path, instances[5:3:-1], 6)
+        assert str(err.value) == f"{path}:5: features have dim 8, detector expects 6"

@@ -132,6 +132,31 @@ class TestAggregation:
         with pytest.raises(ValidationError, match="probability"):
             DetectionSet(np.array([[1.2, -0.2, 0.0]]))
 
+    @pytest.mark.parametrize(
+        "row, accepted",
+        [
+            ([np.nan, 0.5, 0.5], False),
+            ([np.inf, 0.0, 0.0], False),
+            ([-np.inf, 0.5, 0.5], False),
+            ([0.6, -1e-12, 0.4], False),
+            ([0.5, 0.5 + 2e-9, 0.0], False),
+            ([0.5, 0.5 - 2e-9, 0.0], False),
+            ([0.5, 0.5 + 5e-10, 0.0], True),
+            ([0.5, 0.5 - 5e-10, 0.0], True),
+        ],
+    )
+    def test_row_sum_tolerance(self, row, accepted):
+        probs = np.array([[0.2, 0.3, 0.5], row])
+        # the same verdict as the check written with np.allclose
+        assert accepted == (
+            np.all(probs >= 0) and np.allclose(probs.sum(axis=1), 1.0, rtol=0.0, atol=1e-9)
+        )
+        if accepted:
+            np.testing.assert_array_equal(DetectionSet(probs).probabilities, probs)
+        else:
+            with pytest.raises(ValidationError, match="probability"):
+                DetectionSet(probs)
+
 
 class TestWeightedLoss:
     def test_unit_weights_match_unweighted(self, monumai):

@@ -674,6 +674,46 @@ class TestExactStack:
             clf, x, bg = e1_shaped_case(bg_rows=100 if case == "e1-bg100" else 32, seed=8)
         np.testing.assert_array_equal(exact_shap_stack(clf, x, bg), per_game_reference(clf, x, bg))
 
+    @staticmethod
+    def edge_case(case):
+        """Stacks at the edges of the integer-keyed game list."""
+        if case == "n16":
+            # the widest key the guard allows: row bits above 16 pattern bits,
+            # column 0 (the top pattern bit) live in some game
+            clf, x, bg = e1_shaped_case(rows=6, n=16, bg_rows=12, seed=10)
+            x[2, 0] = 1.3
+            assert np.all(x[2, 0] != bg.vectors[:, 0])
+            return clf, x, bg
+        clf, x, bg = e1_shaped_case(rows=5, bg_rows=8, seed=11)
+        if case == "identical-rows":
+            x[3] = x[1]  # same patterns, yet each row keeps its own games
+        elif case == "one-row":
+            x = x[2:3]
+        else:
+            bg = BackgroundSet(np.tile(bg.vectors[4], (6, 1)))
+            if case == "row-equal-to-every-reference":
+                x[2] = bg.vectors[0]
+        return clf, x, bg
+
+    EDGE_CASES = [
+        "n16", "identical-rows", "row-equal-to-every-reference", "identical-references", "one-row",
+    ]
+
+    @pytest.mark.parametrize("case", EDGE_CASES)
+    def test_edges_match_per_game_reference(self, case):
+        clf, x, bg = self.edge_case(case)
+        stacked = exact_shap_stack(clf, x, bg)
+        np.testing.assert_array_equal(stacked, per_game_reference(clf, x, bg))
+        if case == "identical-rows":
+            np.testing.assert_array_equal(stacked[3], stacked[1])
+        if case == "row-equal-to-every-reference":
+            assert np.all(stacked[2] == 0.0) and np.any(stacked[[0, 1, 3, 4]] != 0.0)
+
+    @pytest.mark.parametrize("case", EDGE_CASES)
+    def test_edges_black_box_match_one_row_calls(self, case):
+        clf, x, bg = self.edge_case(case)
+        self.assert_rows_are_one_row_calls(self.model_of(clf, "black-box"), x, bg)
+
     def test_shap_matrix_stack_is_its_rows(self):
         clf, x, bg = e1_shaped_case(rows=4, seed=9)
         stacked = shap_matrix(clf, x, bg, "exact", 64, [0] * 4)
