@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .detector import log_softmax, softmax
+from .detector import softmax
 from .errors import (
     NumericalError, ValidationError, read_json_array, read_json_labels, read_json_object,
 )
@@ -120,9 +120,8 @@ def loss_and_grad(
     z1 = x @ clf.w1.T + clf.b1
     hidden = np.maximum(z1, 0.0)
     z2 = hidden @ clf.w2.T + clf.b2
-    logp = log_softmax(z2)
+    dz2, logp = softmax(z2, with_log=True)
     loss = float(-logp[np.arange(batch), labels].mean())
-    dz2 = softmax(z2)
     dz2[np.arange(batch), labels] -= 1.0
     dz2 /= batch
     grad_w2 = dz2.T @ hidden
@@ -144,6 +143,8 @@ def train_classifier(
 ) -> MLPClassifier:
     """Mini-batch SGD with momentum; deterministic given the seed.
 
+    The returned model's parameters are views of one flat buffer, and the
+    velocity is one flat array, so a step updates all of them at once.
     Raises NumericalError naming the epoch if the loss goes non-finite.
     """
     descriptors = np.asarray(descriptors, dtype=np.float64)
@@ -153,8 +154,11 @@ def train_classifier(
     if descriptors.shape[0] != labels.shape[0]:
         raise ValidationError("descriptor and label counts differ")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5D6]))
-    model = clf.copy()
-    velocity = [np.zeros_like(p) for p in model.parameters()]
+    flat = np.concatenate(clf.parameters(), axis=None)
+    bounds = np.cumsum([p.size for p in clf.parameters()])[:-1]
+    views = [part.reshape(p.shape) for part, p in zip(np.split(flat, bounds), clf.parameters())]
+    model = MLPClassifier(clf.object_classes, *views)
+    velocity = np.zeros_like(flat)
     count = descriptors.shape[0]
     for epoch in range(1, epochs + 1):
         order = rng.permutation(count)
@@ -163,11 +167,9 @@ def train_classifier(
             idx = order[start : start + BATCH_SIZE]
             loss, grads = loss_and_grad(model, descriptors[idx], labels[idx])
             epoch_loss += loss * len(idx)
-            params = model.parameters()
-            for p, vel, g in zip(params, velocity, grads):
-                vel *= MOMENTUM
-                vel -= learning_rate * g
-                p += vel
+            velocity *= MOMENTUM
+            velocity -= learning_rate * np.concatenate(grads, axis=None)
+            flat += velocity
         if not np.isfinite(epoch_loss):
             raise NumericalError(f"classifier loss became non-finite at epoch {epoch}")
     return model

@@ -8,6 +8,10 @@ Two aggregation rules turn a scene's detections into the tabular
 descriptor consumed by the object classifier: `aggregate_frcnn` keeps
 only each region's maximal part probability, `aggregate_retina` keeps
 the whole probability vector. Both sum over regions.
+
+Training packs the dataset once; a mini-batch is one forward pass and one
+gradient product per instance, bit-identical to an instance-by-instance
+loop. `weighted_roi_loss` is its one-instance case.
 """
 
 from __future__ import annotations
@@ -42,16 +46,14 @@ AGGREGATIONS = ("frcnn", "retina")
 BATCH_SIZE = 32  # instances per detector gradient step
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise stable softmax."""
+def softmax(
+    logits: np.ndarray, with_log: bool = False
+) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    """Row-wise stable softmax; `with_log` adds the log-softmax, from the same exp."""
     z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def log_softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    total = e.sum(axis=-1, keepdims=True)
+    return (e / total, z - np.log(total)) if with_log else e / total
 
 
 @dataclass
@@ -140,16 +142,56 @@ def aggregate(ds: DetectionSet, mode: str) -> np.ndarray:
     raise ValidationError(f"unknown aggregation mode {mode!r}; expected one of {AGGREGATIONS}")
 
 
-def _instance_arrays(det: PartDetector, inst: SceneInstance) -> tuple[np.ndarray, np.ndarray]:
-    features = np.stack([r.features for r in inst.regions])
-    part_index = {p: j for j, p in enumerate(det.part_classes)}
+def _pack(det: PartDetector, dataset: list[SceneInstance], region_weights: list | None):
+    """Checked features (R, d), part labels (R,), multipliers (R,) and region counts (N,)."""
+    regions = [r for inst in dataset for r in inst.regions]
+    index = {p: j for j, p in enumerate(det.part_classes)}
     try:
-        labels = np.array([part_index[r.gt_part_class] for r in inst.regions])
+        labels = np.array([index[r.gt_part_class] for r in regions])
     except KeyError as exc:
+        inst = next(i for i in dataset if any(r.gt_part_class not in index for r in i.regions))
         raise ValidationError(
             f"instance {inst.id!r} has part label unknown to the detector: {exc}"
         ) from exc
-    return features, labels
+    weights = np.ones(len(regions))
+    if region_weights is not None:
+        arrays = [np.asarray(w, dtype=np.float64) for w in region_weights]
+        for inst, w in zip(dataset, arrays):
+            if w.shape != (len(inst.regions),):
+                got = w.shape[0] if w.ndim == 1 else "?"
+                raise ValidationError(
+                    f"instance {inst.id!r} has {len(inst.regions)} regions but {got} weights"
+                )
+        weights = np.concatenate(arrays)
+        if np.any(weights < 0):
+            inst = next(i for i, w in zip(dataset, arrays) if np.any(w < 0))
+            raise ValidationError(f"instance {inst.id!r}: region weights must be non-negative")
+    counts = np.array([len(inst.regions) for inst in dataset])
+    return np.array([r.features for r in regions]), labels, weights, counts
+
+
+def _instance_terms(det: PartDetector, features, labels, weights, counts):
+    """Yield each consecutive instance's (loss, dW, db), bitwise as if it were alone.
+
+    One logits product and one exp serve all rows, but a one-region row takes
+    the stacked one-row product: alone, it would run numpy's vector path,
+    which rounds unlike the matrix product. Gradient products stay per instance.
+    """
+    logits = features @ det.weights.T
+    single = np.repeat(counts == 1, counts)
+    if single.any():
+        logits[single] = (features[single][:, None, :] @ det.weights.T)[:, 0]
+    logits += det.bias
+    dlogits, logp = softmax(logits, with_log=True)
+    rows = np.arange(len(labels))
+    region_loss = weights * logp[rows, labels]
+    dlogits[rows, labels] -= 1.0
+    dlogits *= weights[:, None]
+    stops = np.cumsum(counts).tolist()
+    for start, stop in zip([0] + stops, stops):
+        part = dlogits[start:stop]
+        loss = float(-region_loss[start:stop].sum())
+        yield loss, part.T @ features[start:stop], part.sum(axis=0)
 
 
 def weighted_roi_loss(
@@ -160,25 +202,8 @@ def weighted_roi_loss(
     loss = sum_r weight_r * CE(p_r, gt_part_r). Returns (loss, (dW, db)).
     Unit weights reproduce the unweighted loss bit for bit.
     """
-    features, labels = _instance_arrays(det, inst)
-    m = features.shape[0]
-    if weights is None:
-        weights = np.ones(m)
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (m,):
-        raise ValidationError(
-            f"{m} regions but {weights.shape[0] if weights.ndim == 1 else '?'} weights"
-        )
-    if np.any(weights < 0):
-        raise ValidationError("region weights must be non-negative")
-    logits = features @ det.weights.T + det.bias
-    logp = log_softmax(logits)
-    loss = float(-(weights * logp[np.arange(m), labels]).sum())
-    dlogits = softmax(logits)
-    dlogits[np.arange(m), labels] -= 1.0
-    dlogits *= weights[:, None]
-    grad_w = dlogits.T @ features
-    grad_b = dlogits.sum(axis=0)
+    packed = _pack(det, [inst], None if weights is None else [weights])
+    ((loss, grad_w, grad_b),) = _instance_terms(det, *packed)
     return loss, (grad_w, grad_b)
 
 
@@ -196,32 +221,34 @@ def train_detector_epoch(
     BATCH_SIZE follow the dataset order shuffled by `rng`; with a fixed rng
     state the pass is fully deterministic. Returns the updated detector
     and the mean per-region loss observed during the pass.
+
+    Checks run before the first batch. A batch is one forward pass and one gradient
+    product per instance, bit-identical to a `weighted_roi_loss` call per instance.
     """
     if not dataset:
         raise ValidationError("cannot train on an empty dataset")
-    weights = [None] * len(dataset) if region_weights is None else region_weights
-    if len(weights) != len(dataset):
-        raise ValidationError(f"{len(weights)} weight arrays for {len(dataset)} instances")
+    if region_weights is not None and len(region_weights) != len(dataset):
+        raise ValidationError(f"{len(region_weights)} weight arrays for {len(dataset)} instances")
+    features, labels, weights, counts = _pack(det, dataset, region_weights)
+    ends = np.cumsum(counts)
     order = rng.permutation(len(dataset))
     updated = det.copy()
     total_loss = 0.0
-    total_regions = 0
     for start in range(0, len(dataset), BATCH_SIZE):
-        grad_w = np.zeros_like(updated.weights)
-        grad_b = np.zeros_like(updated.bias)
-        batch_regions = 0
-        for i in order[start : start + BATCH_SIZE]:
-            inst = dataset[i]
-            loss, (gw, gb) = weighted_roi_loss(updated, inst, weights[i])
+        batch = order[start : start + BATCH_SIZE]
+        sizes = counts[batch]
+        stops = np.cumsum(sizes)
+        rows = np.arange(stops[-1]) + np.repeat(ends[batch] - stops, sizes)
+        grad_w, grad_b = np.zeros_like(updated.weights), np.zeros_like(updated.bias)
+        terms = _instance_terms(updated, features[rows], labels[rows], weights[rows], sizes)
+        for loss, gw, gb in terms:
             grad_w += gw
             grad_b += gb
             total_loss += loss
-            batch_regions += len(inst.regions)
-        scale = learning_rate / batch_regions
+        scale = learning_rate / int(stops[-1])
         updated.weights -= scale * grad_w
         updated.bias -= scale * grad_b
-        total_regions += batch_regions
-    return updated, total_loss / total_regions
+    return updated, total_loss / int(ends[-1])
 
 
 def save_detector(det: PartDetector, path: str | Path) -> None:

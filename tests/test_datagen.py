@@ -188,6 +188,16 @@ class TestSplit:
         ids = [i.id for i in train] + [i.id for i in val] + [i.id for i in test]
         assert sorted(ids) == sorted(i.id for i in instances)
 
+    @pytest.mark.parametrize("count", [1, 2, 3, 5, 10, 61])
+    def test_splits_are_disjoint_and_cover(self, monumai, count):
+        instances = generate_dataset(monumai, GeneratorConfig(seed=count), count)
+        splits = [[i.id for i in split] for split in split_dataset(instances)]
+        for ids in splits:
+            assert len(set(ids)) == len(ids)
+        train, val, test = map(set, splits)
+        assert not (train & val or train & test or val & test)
+        assert train | val | test == {i.id for i in instances}
+
 
 def _write_generated(kg, tmp_path, count):
     instances = generate_dataset(kg, GeneratorConfig(seed=count, regions_per_instance=(1, 2)), count)

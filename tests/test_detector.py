@@ -5,6 +5,7 @@ import pytest
 
 from xnesyl.datagen import GeneratorConfig, Region, SceneInstance, generate_dataset, split_dataset
 from xnesyl.detector import (
+    BATCH_SIZE,
     DetectionSet,
     PartDetector,
     aggregate_frcnn,
@@ -30,6 +31,44 @@ def make_instance(kg, parts, dim=4, seed=0):
     rng = np.random.default_rng(seed)
     regions = tuple(Region(p, rng.normal(size=dim)) for p in parts)
     return SceneInstance("i0", kg.object_classes[0], regions)
+
+
+def reference_roi_loss(det, inst, weights):
+    """One instance's weighted loss and gradient, computed on that instance alone."""
+    features = np.stack([r.features for r in inst.regions])
+    labels = np.array([det.part_classes.index(r.gt_part_class) for r in inst.regions])
+    m = features.shape[0]
+    weights = np.ones(m) if weights is None else np.asarray(weights, dtype=np.float64)
+    logits = features @ det.weights.T + det.bias
+    z = logits - logits.max(axis=-1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    loss = float(-(weights * logp[np.arange(m), labels]).sum())
+    dlogits = np.exp(z) / np.exp(z).sum(axis=-1, keepdims=True)
+    dlogits[np.arange(m), labels] -= 1.0
+    dlogits *= weights[:, None]
+    return loss, dlogits.T @ features, dlogits.sum(axis=0)
+
+
+def reference_epoch(det, dataset, region_weights, rng, learning_rate):
+    """The epoch as an instance-by-instance loop over the shuffled batches."""
+    weights = [None] * len(dataset) if region_weights is None else region_weights
+    order = rng.permutation(len(dataset))
+    updated = det.copy()
+    total_loss, total_regions = 0.0, 0
+    for start in range(0, len(dataset), BATCH_SIZE):
+        grad_w, grad_b = np.zeros_like(updated.weights), np.zeros_like(updated.bias)
+        batch_regions = 0
+        for i in order[start : start + BATCH_SIZE]:
+            loss, gw, gb = reference_roi_loss(updated, dataset[i], weights[i])
+            grad_w += gw
+            grad_b += gb
+            total_loss += loss
+            batch_regions += len(dataset[i].regions)
+        scale = learning_rate / batch_regions
+        updated.weights -= scale * grad_w
+        updated.bias -= scale * grad_b
+        total_regions += batch_regions
+    return updated, total_loss / total_regions
 
 
 class TestDetect:
@@ -253,6 +292,74 @@ class TestTrainEpoch:
         ones = [np.ones(len(inst.regions)) for inst in data[:-1]]
         with pytest.raises(ValidationError, match="4 weight arrays for 5 instances"):
             train_detector_epoch(det, data, ones, rng=np.random.default_rng(0), learning_rate=0.5)
+
+    # 1:1 is all one-region rows; 8:24 and 1:40 take numpy's pairwise sums
+    @pytest.mark.parametrize("regions", [(1, 1), (1, 3), (2, 6), (8, 24), (1, 40)])
+    @pytest.mark.parametrize("count", [1, BATCH_SIZE, BATCH_SIZE + 1])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_bitwise_equal_to_instance_loop(self, monumai, regions, count, weighted):
+        cfg = GeneratorConfig(
+            seed=count + regions[1], regions_per_instance=regions, noise_rate=0.2, separation=2.0
+        )
+        data = generate_dataset(monumai, cfg, count)
+        det = random_detector(monumai, cfg.feature_dim, seed=count)
+        expected = det.copy()
+        draw = np.random.default_rng(regions[1])
+        weights = None
+        for epoch in range(3):
+            det, loss = train_detector_epoch(
+                det, data, weights, rng=np.random.default_rng(epoch), learning_rate=0.5
+            )
+            expected, expected_loss = reference_epoch(
+                expected, data, weights, rng=np.random.default_rng(epoch), learning_rate=0.5
+            )
+            assert loss == expected_loss
+            np.testing.assert_array_equal(det.weights, expected.weights)
+            np.testing.assert_array_equal(det.bias, expected.bias)
+            for inst, w in zip(data, weights or [None] * count):
+                got, (gw, gb) = weighted_roi_loss(det, inst, w)
+                want, want_w, want_b = reference_roi_loss(det, inst, w)
+                assert got == want
+                np.testing.assert_array_equal(gw, want_w)
+                np.testing.assert_array_equal(gb, want_b)
+            if weighted:  # about a third of the multipliers are zero
+                weights = [
+                    draw.uniform(0.5, 3.0, len(inst.regions))
+                    * (draw.random(len(inst.regions)) > 0.3)
+                    for inst in data
+                ]
+
+    def _reject(self, monumai, data, weights, match):
+        det = PartDetector.create(monumai, GeneratorConfig.feature_dim)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValidationError, match=match):
+            train_detector_epoch(det, data, weights, rng=rng, learning_rate=0.5)
+        # nothing was drawn, so no batch was formed
+        assert rng.bit_generator.state == state
+
+    def test_wrong_weight_length_names_instance(self, monumai):
+        data = generate_dataset(monumai, GeneratorConfig(seed=33), 40)
+        weights = [np.ones(len(inst.regions)) for inst in data]
+        m = len(data[37].regions)
+        weights[37] = np.ones(m - 1)
+        match = f"instance '{data[37].id}' has {m} regions but {m - 1} weights"
+        self._reject(monumai, data, weights, match)
+
+    def test_negative_weight_names_instance(self, monumai):
+        data = generate_dataset(monumai, GeneratorConfig(seed=34), 40)
+        weights = [np.ones(len(inst.regions)) for inst in data]
+        weights[35][-1] = -0.5
+        self._reject(monumai, data, weights, f"instance '{data[35].id}'.*non-negative")
+
+    def test_unknown_part_label_names_instance(self, monumai):
+        data = generate_dataset(monumai, GeneratorConfig(seed=35), 40)
+        bad = data[38]
+        data[38] = SceneInstance(
+            bad.id, bad.gt_object_class, bad.regions + (Region("gargoyle", np.zeros(8)),)
+        )
+        match = f"instance '{bad.id}' has part label unknown to the detector: 'gargoyle'"
+        self._reject(monumai, data, None, match)
 
     def test_checkpoint_round_trip(self, monumai, tmp_path):
         det = random_detector(monumai, 6, seed=40)
