@@ -28,8 +28,8 @@ import numpy as np
 from .alignment import SCHEME_KINDS, WeightScheme, instance_attribution, sag_to_dot, sag_to_json
 from .classifier import load_classifier, save_classifier
 from .datagen import (
-    GeneratorConfig, check_feature_dim, generate_dataset, locate_instance, read_dataset,
-    read_test_split, split_dataset, write_dataset,
+    GeneratorConfig, generate_dataset, locate_instance, read_dataset, read_test_split,
+    split_dataset, write_dataset,
 )
 from .detector import AGGREGATIONS, load_detector, save_detector
 from .errors import NumericalError, ValidationError, read_json_array, read_json_object
@@ -196,6 +196,11 @@ def _load_run_dir(checkpoints: str, kg: KnowledgeGraph) -> RunArtifacts:
             raise ValidationError(
                 f"checkpoint {name} {list(saved)} differ from --kg {name} {list(expected)}"
             )
+    if clf.input_dim != kg.num_parts:
+        raise ValidationError(
+            f"{cp / 'classifier.json'}: input_dim {clf.input_dim} differs from "
+            f"the {kg.num_parts} --kg part_classes"
+        )
     bg_path = cp / "background.json"
     if not bg_path.exists():
         raise ValidationError(f"{bg_path} not found; re-train the run to write it")
@@ -251,13 +256,14 @@ def _cmd_train(args, parser: argparse.ArgumentParser) -> int:
 
 def _cmd_eval(args) -> int:
     kg = load_kg(args.kg)
-    test_split = read_test_split(args.data, kg)
     saved = _load_run_dir(args.checkpoints, kg)
-    check_feature_dim(args.data, test_split, saved.detector.feature_dim)
+    test_split = read_test_split(args.data, kg, saved.detector.feature_dim)
     out_path = Path(args.out) if args.out else Path(args.checkpoints) / "eval_metrics.json"
-    # refuse an output under a missing directory before the split is scored
+    # refuse an output under a missing directory, or a directory, before the split is scored
     if not out_path.parent.is_dir():
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(out_path))
+    if out_path.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(out_path))
     scored = evaluate(saved, test_split, kg)
     rendered = _render_json({"config": config_echo(scored.config), "metrics": scored.metrics})
     out_path.write_text(rendered, encoding="utf-8")
@@ -267,14 +273,13 @@ def _cmd_eval(args) -> int:
 
 def _cmd_explain(args) -> int:
     kg = load_kg(args.kg)
+    saved = _load_run_dir(args.checkpoints, kg)
     # An instance is seeded by its position in its own split; for a test
     # instance that is the seed `evaluate` scored it with.
-    located = locate_instance(args.data, kg, args.instance_id)
+    located = locate_instance(args.data, kg, args.instance_id, saved.detector.feature_dim)
     if located is None:
         raise ValidationError(f"--instance-id {args.instance_id!r} not found in {args.data}")
     index, inst = located
-    saved = _load_run_dir(args.checkpoints, kg)
-    check_feature_dim(args.data, [inst], saved.detector.feature_dim)
     cfg = saved.config
     # refuse an unusable output path before the instance is detected and scored
     out_dir = Path(args.out_dir) if args.out_dir else Path(args.checkpoints)

@@ -39,7 +39,6 @@ __all__ = [
     "write_dataset",
     "read_dataset",
     "read_test_split",
-    "check_feature_dim",
     "locate_instance",
     "split_dataset",
 ]
@@ -245,43 +244,33 @@ def _dataset_lines(p: Path):
         yield lineno, doc
 
 
-def _line_instance(
-    p: Path, lineno: int, doc: dict, kg: KnowledgeGraph, feature_dim: tuple[int, int] | None
-) -> SceneInstance:
-    """The validated instance of a line `_dataset_lines` yielded.
-
-    Its labels must belong to `kg`, and every region's feature dimension
-    must equal `feature_dim` (dimension, line it was first seen on), or
-    the line's first region's when that is None.
-    """
-    try:
-        regions = tuple(Region(r["part_class"], r["features"]) for r in doc["regions"])
-        inst = SceneInstance(doc["id"], doc["object_class"], regions)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"{p}:{lineno}: missing or malformed field: {exc}") from exc
-    if inst.gt_object_class not in kg.object_classes:
-        raise ValidationError(f"{p}:{lineno}: unknown object class {inst.gt_object_class!r}")
-    for r in inst.regions:
-        if r.gt_part_class not in kg.part_classes:
-            raise ValidationError(f"{p}:{lineno}: unknown part class {r.gt_part_class!r}")
-    dim, first_line = feature_dim or (inst.regions[0].features.shape[0], lineno)
-    for r in inst.regions:
-        if r.features.shape[0] != dim:
-            raise ValidationError(
-                f"{p}:{lineno}: region feature dimension {r.features.shape[0]} "
-                f"differs from {dim} (line {first_line})"
-            )
-    return inst
-
-
-def _instances(p: Path, lines, kg: KnowledgeGraph) -> list[SceneInstance]:
-    """The validated instances of `lines`, (line number, document) pairs in
-    file order; every region's feature dimension must equal the first's."""
+def _instances(p: Path, lines, kg: KnowledgeGraph, dim: int | None) -> list[SceneInstance]:
+    """The validated instances of `lines`, `_dataset_lines` pairs in file order,
+    whose labels belong to `kg` and whose regions' features are all `dim` wide
+    (the detector's width), or when `dim` is None as wide as the first's."""
     instances: list[SceneInstance] = []
-    feature_dim: tuple[int, int] | None = None
+    first_line = None
     for lineno, doc in lines:
-        inst = _line_instance(p, lineno, doc, kg, feature_dim)
-        feature_dim = feature_dim or (inst.regions[0].features.shape[0], lineno)
+        try:
+            regions = tuple(Region(r["part_class"], r["features"]) for r in doc["regions"])
+            inst = SceneInstance(doc["id"], doc["object_class"], regions)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValidationError(f"{p}:{lineno}: missing or malformed field: {exc}") from exc
+        if inst.gt_object_class not in kg.object_classes:
+            raise ValidationError(f"{p}:{lineno}: unknown object class {inst.gt_object_class!r}")
+        for r in inst.regions:
+            if r.gt_part_class not in kg.part_classes:
+                raise ValidationError(f"{p}:{lineno}: unknown part class {r.gt_part_class!r}")
+        if dim is None:
+            dim, first_line = inst.regions[0].features.shape[0], lineno
+        width = next((r.features.shape[0] for r in inst.regions if r.features.shape[0] != dim), dim)
+        if width != dim:
+            raise ValidationError(
+                f"{p}:{lineno}: features have dim {width}, detector expects {dim}"
+                if first_line is None
+                else f"{p}:{lineno}: region feature dimension {width} differs from {dim} "
+                f"(line {first_line})"
+            )
         instances.append(inst)
     return instances
 
@@ -294,61 +283,44 @@ def read_dataset(path: str | Path, kg: KnowledgeGraph) -> list[SceneInstance]:
     dimension differs from the first region's.
     """
     p = Path(path)
-    return _instances(p, _dataset_lines(p), kg)
+    return _instances(p, _dataset_lines(p), kg, None)
 
 
-def read_test_split(path: str | Path, kg: KnowledgeGraph) -> list[SceneInstance]:
+def read_test_split(path: str | Path, kg: KnowledgeGraph, dim: int) -> list[SceneInstance]:
     """`split_dataset(read_dataset(path, kg))[2]`, validating only the test lines.
 
-    Every line must hold a fresh string id, because the split ranks all
-    ids; only the test split's lines are built and checked as
-    `read_dataset` checks every line, feature dimensions against the
-    first test line's.
+    Every line must hold a fresh string id, because the split ranks all ids;
+    only the test lines are built, and checked as `read_dataset` checks every
+    line but against `dim`, the width of the detector that will read them.
     """
     p = Path(path)
     lines = list(_dataset_lines(p))
     test = _split_positions([doc["id"] for _, doc in lines])[2]
     in_file = sorted(test)
-    by_position = dict(zip(in_file, _instances(p, [lines[i] for i in in_file], kg)))
+    by_position = dict(zip(in_file, _instances(p, [lines[i] for i in in_file], kg, dim)))
     return [by_position[i] for i in test]
 
 
-def check_feature_dim(path: str | Path, instances: list[SceneInstance], dim: int) -> None:
-    """Refuse, naming file and line, the first instance of `path` in file
-    order whose features are not `dim` wide."""
-    widths = {inst.id: inst.regions[0].features.shape[0] for inst in instances}
-    wrong = {inst_id: width for inst_id, width in widths.items() if width != dim}
-    if wrong:
-        p = Path(path)
-        lineno, inst_id = next(
-            (lineno, doc["id"]) for lineno, doc in _dataset_lines(p) if doc["id"] in wrong
-        )
-        raise ValidationError(
-            f"{p}:{lineno}: features have dim {wrong[inst_id]}, detector expects {dim}"
-        )
-
-
 def locate_instance(
-    path: str | Path, kg: KnowledgeGraph, instance_id: str
+    path: str | Path, kg: KnowledgeGraph, instance_id: str, dim: int
 ) -> tuple[int, SceneInstance] | None:
     """`instance_id`'s index in its split and its instance; None if no line holds it.
 
     Places the instance as `split_dataset(read_dataset(path, kg))` does,
-    but of the other lines reads only the ids.
+    but of the other lines reads only the ids; its features must be `dim`
+    wide, the width of the detector that will read them.
     """
     p = Path(path)
     ids: list[str] = []
-    found = None
+    inst = None
     for lineno, doc in _dataset_lines(p):
         ids.append(doc["id"])
         if doc["id"] == instance_id:
-            found = (len(ids) - 1, _line_instance(p, lineno, doc, kg, None))
-    if found is None:
+            position, inst = len(ids) - 1, _instances(p, [(lineno, doc)], kg, dim)[0]
+    if inst is None:
         return None
-    position, inst = found
-    for split in _split_positions(ids):
-        if position in split:
-            return split.index(position), inst
+    split = next(split for split in _split_positions(ids) if position in split)
+    return split.index(position), inst
 
 
 def _id_rank(instance_id: str) -> int:

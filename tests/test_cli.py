@@ -485,8 +485,9 @@ class TestExplain:
             assert float(shap) == values[k, j]
 
 
-def _reference_locate(path, kg, instance_id):
-    """`(index, instance)` found as `explain` did before it read only one line."""
+def _reference_locate(path, kg, instance_id, dim):
+    """`(index, instance)` found as `explain` did before it read only one line;
+    `dim` goes unchecked here, since the detector itself refuses another width."""
     for split in split_dataset(read_dataset(path, kg)):
         for index, inst in enumerate(split):
             if inst.id == instance_id:
@@ -612,7 +613,6 @@ class TestEvalReadsItsTestSplit:
 
     @pytest.mark.parametrize("edit", sorted(EDITS))
     def test_malformed_test_line_exits_3(self, kg_path, run_dir, tmp_path, capsys, edit):
-        # the second test line, so a dimension fault is one against the first's
         lineno = _line_of_split(run_dir, 2, 1)
         edited = self._edited(run_dir, tmp_path, lineno, self.EDITS[edit])
         capsys.readouterr()
@@ -694,6 +694,17 @@ class TestFeatureDimAgainstCheckpoint:
             )
             assert err == expected
 
+    def test_eval_names_the_one_wider_test_line(
+        self, kg_path, run_dir, tmp_path, capsys, detect_calls
+    ):
+        # the first test line in file order, so a first-line width rule would blame a later one
+        lineno = _line_of_split(run_dir, 2)
+        data, ids = self._widened(run_dir, tmp_path, [lineno])
+        err = self._run(
+            kg_path, run_dir, tmp_path, capsys, "eval", data, ids[lineno - 1], detect_calls
+        )
+        assert err == f"error: {data}:{lineno}: features have dim 7, detector expects 6\n"
+
 
 class TestCheckpointAgainstKg:
     @pytest.mark.parametrize("command", ["eval", "explain"])
@@ -719,6 +730,32 @@ class TestCheckpointAgainstKg:
         err = capsys.readouterr().err
         assert f"checkpoint {field}" in err and f"--kg {field}" in err
         assert list(tmp_path.iterdir()) == [reordered]
+
+    @pytest.mark.parametrize("command", ["eval", "explain"])
+    def test_classifier_input_dim_exits_3(
+        self, kg_path, run_dir, tmp_path, capsys, detect_calls, command
+    ):
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(run_dir["out"], ckpt)
+        clf_path = ckpt / "classifier.json"
+        doc = json.loads(clf_path.read_text())
+        doc = {**doc, "input_dim": doc["input_dim"] - 1, "w1": [row[:-1] for row in doc["w1"]]}
+        clf_path.write_text(json.dumps(doc), encoding="utf-8")
+        inst_id = split_dataset(read_dataset(run_dir["data"], monumai_kg()))[2][0].id
+        extra = {
+            "eval": ["--out", str(tmp_path / "eval.json")],
+            "explain": ["--instance-id", inst_id, "--out-dir", str(tmp_path / "sag")],
+        }[command]
+        capsys.readouterr()
+        detect_calls.clear()
+        code = main([
+            command, "--kg", kg_path, "--data", run_dir["data"],
+            "--checkpoints", str(ckpt), *extra,
+        ])
+        assert code == 3 and len(detect_calls) == 0
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {clf_path}: input_dim 13 ") and len(err.splitlines()) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt"]
 
 
 class TestNonFiniteAttributions:
@@ -872,6 +909,22 @@ class TestUnwritableOutput:
         err = capsys.readouterr().err
         assert err == f"error: {missing}: No such file or directory\n"
         assert not missing.parent.exists()
+
+    def test_eval_refuses_a_directory_before_detecting(
+        self, kg_path, run_dir, tmp_path, capsys, detect_calls
+    ):
+        out = tmp_path / "eval.json"
+        out.mkdir()
+        detect_calls.clear()
+        code = main([
+            "eval", "--kg", kg_path, "--data", run_dir["data"],
+            "--checkpoints", run_dir["out"], "--out", str(out),
+        ])
+        assert code == 3
+        assert len(detect_calls) == 0
+        err = capsys.readouterr().err
+        assert err == f"error: {out}: Is a directory\n"
+        assert list(out.iterdir()) == []
 
     def test_explain_refuses_a_file_before_detecting(
         self, kg_path, run_dir, tmp_path, capsys, detect_calls

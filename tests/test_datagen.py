@@ -7,7 +7,6 @@ import pytest
 
 from xnesyl.datagen import (
     GeneratorConfig,
-    check_feature_dim,
     generate_dataset,
     locate_instance,
     part_means,
@@ -215,11 +214,11 @@ class TestLocateInstance:
         splits = split_dataset(read_dataset(path, monumai))
         for split in splits:
             for index, inst in enumerate(split):
-                assert locate_instance(path, monumai, inst.id) == (index, inst)
+                assert locate_instance(path, monumai, inst.id, 8) == (index, inst)
 
     def test_unknown_id_is_none(self, monumai, tmp_path):
         path = _write_generated(monumai, tmp_path, 5)
-        assert locate_instance(path, monumai, "inst-999999") is None
+        assert locate_instance(path, monumai, "inst-999999", 8) is None
 
     def test_reads_other_lines_only_for_their_ids(self, monumai, tmp_path):
         path = _write_generated(monumai, tmp_path, 6)
@@ -228,34 +227,34 @@ class TestLocateInstance:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(ValidationError, match="data-6.jsonl:2: missing or malformed field"):
             read_dataset(path, monumai)
-        assert locate_instance(path, monumai, "inst-000000")[1].id == "inst-000000"
+        assert locate_instance(path, monumai, "inst-000000", 8)[1].id == "inst-000000"
         with pytest.raises(ValidationError, match="data-6.jsonl:2: missing or malformed field"):
-            locate_instance(path, monumai, "inst-000001")
+            locate_instance(path, monumai, "inst-000001", 8)
 
 
 class TestReadTestSplit:
     @pytest.mark.parametrize("count", [1, 2, 3, 4, 5, 6, 8, 11, 14, 37, 60])
     def test_agrees_with_split(self, monumai, tmp_path, count):
         path = _write_generated(monumai, tmp_path, count)
-        assert read_test_split(path, monumai) == split_dataset(read_dataset(path, monumai))[2]
+        assert read_test_split(path, monumai, 8) == split_dataset(read_dataset(path, monumai))[2]
 
     @staticmethod
     def _lines_by_split(path, kg):
         """The dataset's documents, and the indices of its test and other lines."""
         docs = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
-        test_ids = {inst.id for inst in read_test_split(path, kg)}
+        test_ids = {inst.id for inst in read_test_split(path, kg, 8)}
         test = [i for i, doc in enumerate(docs) if doc["id"] in test_ids]
         return docs, test, [i for i in range(len(docs)) if i not in test]
 
     def test_reads_other_lines_only_for_their_ids(self, monumai, tmp_path):
         path = _write_generated(monumai, tmp_path, 6)
-        clean = read_test_split(path, monumai)
+        clean = read_test_split(path, monumai, 8)
         docs, _, others = self._lines_by_split(path, monumai)
         docs[others[0]]["regions"] = "not a list"
         path.write_text("".join(json.dumps(doc) + "\n" for doc in docs), encoding="utf-8")
         with pytest.raises(ValidationError, match=f":{others[0] + 1}: missing or malformed"):
             read_dataset(path, monumai)
-        assert read_test_split(path, monumai) == clean
+        assert read_test_split(path, monumai, 8) == clean
 
     def test_test_lines_share_one_feature_dimension(self, monumai, tmp_path):
         path = _write_generated(monumai, tmp_path, 14)
@@ -264,20 +263,24 @@ class TestReadTestSplit:
             region["features"].append(0.5)
         path.write_text("".join(json.dumps(doc) + "\n" for doc in docs), encoding="utf-8")
         with pytest.raises(ValidationError) as err:
-            read_test_split(path, monumai)
-        assert str(err.value) == (
-            f"{path}:{test[1] + 1}: region feature dimension 9 differs from 8 (line {test[0] + 1})"
-        )
+            read_test_split(path, monumai, 8)
+        assert str(err.value) == f"{path}:{test[1] + 1}: features have dim 9, detector expects 8"
 
 
-class TestCheckFeatureDim:
+class TestReadersAgainstDetectorWidth:
     def test_names_the_first_wrong_line_in_file_order(self, monumai, tmp_path):
-        path = _write_generated(monumai, tmp_path, 8)
-        instances = read_dataset(path, monumai)
-        check_feature_dim(path, instances, 8)
+        path = _write_generated(monumai, tmp_path, 14)
+        ids = [inst.id for inst in read_dataset(path, monumai)]
+        test_lines = [ids.index(inst.id) + 1 for inst in read_test_split(path, monumai, 8)]
+        # the split is in hash-rank order, which is not file order
+        assert test_lines != sorted(test_lines)
         with pytest.raises(ValidationError) as err:
-            check_feature_dim(path, instances[::-1], 6)
-        assert str(err.value) == f"{path}:1: features have dim 8, detector expects 6"
-        with pytest.raises(ValidationError) as err:
-            check_feature_dim(path, instances[5:3:-1], 6)
-        assert str(err.value) == f"{path}:5: features have dim 8, detector expects 6"
+            read_test_split(path, monumai, 6)
+        assert str(err.value) == (
+            f"{path}:{min(test_lines)}: features have dim 8, detector expects 6"
+        )
+        for lineno in (1, 5):
+            assert locate_instance(path, monumai, ids[lineno - 1], 8)[1].id == ids[lineno - 1]
+            with pytest.raises(ValidationError) as err:
+                locate_instance(path, monumai, ids[lineno - 1], 6)
+            assert str(err.value) == f"{path}:{lineno}: features have dim 8, detector expects 6"

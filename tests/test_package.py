@@ -1,7 +1,11 @@
 """The package re-exports only the names README documents."""
 
+import importlib
+import pkgutil
 import re
 from pathlib import Path
+
+import pytest
 
 import xnesyl
 from xnesyl.kg import KnowledgeGraph
@@ -13,6 +17,22 @@ def test_all_is_the_documented_set():
     assert sorted(xnesyl.__all__) == ["deterministic_classify", "monumai_kg", "shap_matrix"]
     assert all(callable(getattr(xnesyl, name)) for name in xnesyl.__all__)
     assert isinstance(xnesyl.__version__, str)
+
+
+_MODULES = [
+    importlib.import_module(f"xnesyl.{info.name}")
+    for info in pkgutil.iter_modules(xnesyl.__path__)
+]
+
+
+@pytest.mark.parametrize(
+    "module",
+    [xnesyl] + [module for module in _MODULES if hasattr(module, "__all__")],
+    ids=lambda module: module.__name__,
+)
+def test_every_all_name_exists(module):
+    # a listed name the module lacks makes `from module import *` raise
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []
 
 
 def test_readme_python_snippets_run():
