@@ -110,27 +110,46 @@ class MLPClassifier:
         )
 
 
+def _flat_views(params: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """One flat buffer holding `params`, and views of it shaped like each of them."""
+    flat = np.concatenate(params, axis=None)
+    bounds = np.cumsum([p.size for p in params])[:-1]
+    return flat, [part.reshape(p.shape) for part, p in zip(np.split(flat, bounds), params)]
+
+
+def _loss_and_grad_into(
+    clf: MLPClassifier, x: np.ndarray, labels: np.ndarray, rows: np.ndarray, grads: list
+) -> float:
+    """Mean cross-entropy over the batch; writes the exact gradients into `grads`.
+
+    `rows` is `np.arange(len(x))`; `grads` are arrays shaped like the parameters.
+    """
+    z1 = x @ clf.w1.T + clf.b1
+    hidden = np.maximum(z1, 0.0)
+    z2 = hidden @ clf.w2.T + clf.b2
+    dz2, logp = softmax(z2, with_log=True)
+    batch = x.shape[0]
+    loss = float(-(logp[rows, labels].sum() / batch))  # the mean, without its wrapper's cost
+    dz2[rows, labels] -= 1.0
+    dz2 /= batch
+    grad_w1, grad_b1, grad_w2, grad_b2 = grads
+    np.matmul(dz2.T, hidden, out=grad_w2)
+    dz2.sum(axis=0, out=grad_b2)
+    dz1 = dz2 @ clf.w2
+    dz1 *= z1 > 0.0
+    np.matmul(dz1.T, x, out=grad_w1)
+    dz1.sum(axis=0, out=grad_b1)
+    return loss
+
+
 def loss_and_grad(
     clf: MLPClassifier, x: np.ndarray, labels: np.ndarray
 ) -> tuple[float, list[np.ndarray]]:
     """Mean cross-entropy over the batch and exact gradients, in parameter order."""
     x = np.asarray(x, dtype=np.float64)
-    labels = np.asarray(labels)
-    batch = x.shape[0]
-    z1 = x @ clf.w1.T + clf.b1
-    hidden = np.maximum(z1, 0.0)
-    z2 = hidden @ clf.w2.T + clf.b2
-    dz2, logp = softmax(z2, with_log=True)
-    loss = float(-logp[np.arange(batch), labels].mean())
-    dz2[np.arange(batch), labels] -= 1.0
-    dz2 /= batch
-    grad_w2 = dz2.T @ hidden
-    grad_b2 = dz2.sum(axis=0)
-    dhidden = dz2 @ clf.w2
-    dz1 = dhidden * (z1 > 0.0)
-    grad_w1 = dz1.T @ x
-    grad_b1 = dz1.sum(axis=0)
-    return loss, [grad_w1, grad_b1, grad_w2, grad_b2]
+    grads = [np.empty_like(p) for p in clf.parameters()]
+    loss = _loss_and_grad_into(clf, x, np.asarray(labels), np.arange(x.shape[0]), grads)
+    return loss, grads
 
 
 def train_classifier(
@@ -143,8 +162,9 @@ def train_classifier(
 ) -> MLPClassifier:
     """Mini-batch SGD with momentum; deterministic given the seed.
 
-    The returned model's parameters are views of one flat buffer, and the
-    velocity is one flat array, so a step updates all of them at once.
+    The returned model's parameters are views of one flat buffer, and each
+    step writes its gradients into views of another, so a momentum step is
+    a few in-place operations on flat arrays.
     Raises NumericalError naming the epoch if the loss goes non-finite.
     """
     descriptors = np.asarray(descriptors, dtype=np.float64)
@@ -154,21 +174,24 @@ def train_classifier(
     if descriptors.shape[0] != labels.shape[0]:
         raise ValidationError("descriptor and label counts differ")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5D6]))
-    flat = np.concatenate(clf.parameters(), axis=None)
-    bounds = np.cumsum([p.size for p in clf.parameters()])[:-1]
-    views = [part.reshape(p.shape) for part, p in zip(np.split(flat, bounds), clf.parameters())]
+    flat, views = _flat_views(clf.parameters())
     model = MLPClassifier(clf.object_classes, *views)
+    grad, grads = _flat_views(clf.parameters())
     velocity = np.zeros_like(flat)
     count = descriptors.shape[0]
+    rows = np.arange(min(count, BATCH_SIZE))
     for epoch in range(1, epochs + 1):
         order = rng.permutation(count)
         epoch_loss = 0.0
         for start in range(0, count, BATCH_SIZE):
             idx = order[start : start + BATCH_SIZE]
-            loss, grads = loss_and_grad(model, descriptors[idx], labels[idx])
+            loss = _loss_and_grad_into(
+                model, descriptors[idx], labels[idx], rows[: len(idx)], grads
+            )
             epoch_loss += loss * len(idx)
             velocity *= MOMENTUM
-            velocity -= learning_rate * np.concatenate(grads, axis=None)
+            grad *= learning_rate
+            velocity -= grad
             flat += velocity
         if not np.isfinite(epoch_loss):
             raise NumericalError(f"classifier loss became non-finite at epoch {epoch}")

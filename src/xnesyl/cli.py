@@ -20,6 +20,7 @@ import errno
 import io
 import json
 import os
+import stat
 import sys
 from pathlib import Path
 
@@ -31,7 +32,7 @@ from .datagen import (
     GeneratorConfig, generate_dataset, locate_instance, read_dataset, read_test_split,
     split_dataset, write_dataset,
 )
-from .detector import AGGREGATIONS, load_detector, save_detector
+from .detector import AGGREGATIONS, aggregate, detect, load_detector, save_detector
 from .errors import NumericalError, ValidationError, read_json_array, read_json_object
 from .kg import KnowledgeGraph, load_kg
 from .shapley import SHAP_MODES, BackgroundSet
@@ -40,7 +41,6 @@ from .training import (
     TrainConfig,
     config_echo,
     config_from_echo,
-    descriptors,
     evaluate,
     metrics_report,
     shap_eval_seed,
@@ -259,9 +259,14 @@ def _cmd_eval(args) -> int:
     saved = _load_run_dir(args.checkpoints, kg)
     test_split = read_test_split(args.data, kg, saved.detector.feature_dim)
     out_path = Path(args.out) if args.out else Path(args.checkpoints) / "eval_metrics.json"
-    # refuse an output under a missing directory, or a directory, before the split is scored
-    if not out_path.parent.is_dir():
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(out_path))
+    # refuse an output under a missing directory or a file, or a directory, before the
+    # split is scored, with the reason the OS gives for the parent
+    try:
+        parent_is_dir = stat.S_ISDIR(os.stat(out_path.parent).st_mode)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(out_path)) from None
+    if not parent_is_dir:
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(out_path))
     if out_path.is_dir():
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(out_path))
     scored = evaluate(saved, test_split, kg)
@@ -284,7 +289,7 @@ def _cmd_explain(args) -> int:
     # refuse an unusable output path before the instance is detected and scored
     out_dir = Path(args.out_dir) if args.out_dir else Path(args.checkpoints)
     out_dir.mkdir(parents=True, exist_ok=True)
-    v = descriptors(saved.detector, [inst], kg, cfg.aggregation)[0][0]
+    v = aggregate(detect(saved.detector, inst), cfg.aggregation)
     values, sag = instance_attribution(
         saved.classifier, v, index, kg, saved.background, cfg.s, cfg.shap_mode,
         cfg.shap_samples, shap_eval_seed(cfg),

@@ -9,9 +9,12 @@ descriptor consumed by the object classifier: `aggregate_frcnn` keeps
 only each region's maximal part probability, `aggregate_retina` keeps
 the whole probability vector. Both sum over regions.
 
-Training packs the dataset once; a mini-batch is one forward pass and one
-gradient product per instance, bit-identical to an instance-by-instance
-loop. `weighted_roi_loss` is its one-instance case.
+A split is packed once (`PackedSplit`): its regions' features as one
+(R, d) array. Detecting a split is one logits product and one softmax
+(`detect_split`); a training mini-batch is one forward pass and one
+gradient product per instance. Both are bit-identical to an
+instance-by-instance loop, whose one-instance calls are `detect` +
+`aggregate` and `weighted_roi_loss`.
 """
 
 from __future__ import annotations
@@ -32,7 +35,9 @@ __all__ = [
     "AGGREGATIONS",
     "PartDetector",
     "DetectionSet",
+    "PackedSplit",
     "detect",
+    "detect_split",
     "aggregate_frcnn",
     "aggregate_retina",
     "aggregate",
@@ -74,14 +79,18 @@ class PartDetector:
     def feature_dim(self) -> int:
         return self.weights.shape[1]
 
-    def probabilities(self, features: np.ndarray) -> np.ndarray:
-        """(M, d) feature rows to (M, n) part probability rows."""
+    def probabilities(self, features: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        """(R, d) feature rows to (R, n) part probability rows.
+
+        The rows are consecutive instances' regions, `counts` rows each; each
+        row is bitwise as if its instance were detected alone.
+        """
         features = np.asarray(features, dtype=np.float64)
         if features.shape[1] != self.feature_dim:
             raise ValidationError(
                 f"features have dim {features.shape[1]}, detector expects {self.feature_dim}"
             )
-        probs = softmax(features @ self.weights.T + self.bias)
+        probs = softmax(_logits(self, features, counts))
         if not np.all(np.isfinite(probs)):
             raise NumericalError("part detector probabilities are non-finite")
         return probs
@@ -92,7 +101,7 @@ class PartDetector:
 
 @dataclass(frozen=True)
 class DetectionSet:
-    """Ordered per-region part probability vectors for one scene instance."""
+    """Ordered per-region part probability vectors of one instance, or of a split's in turn."""
 
     probabilities: np.ndarray  # (M, n)
 
@@ -112,77 +121,136 @@ class DetectionSet:
         return np.argmax(self.probabilities, axis=1)
 
 
-def detect(det: PartDetector, inst: SceneInstance) -> DetectionSet:
-    """One probability vector per region, in region order."""
-    features = np.stack([r.features for r in inst.regions])
-    return DetectionSet(det.probabilities(features))
+@dataclass(frozen=True, eq=False)
+class PackedSplit:
+    """A split's instances with their regions packed into contiguous arrays.
+
+    Each instance's regions are consecutive rows of `features` and `labels`,
+    in region order, `counts[i]` of them. Labels index `part_classes`.
+    Iterates as its instances.
+    """
+
+    instances: tuple[SceneInstance, ...]
+    part_classes: tuple[str, ...]
+    features: np.ndarray  # (R, d)
+    labels: np.ndarray  # (R,)
+    counts: np.ndarray  # (N,)
+
+    @classmethod
+    def pack(cls, instances: list[SceneInstance], part_classes: tuple[str, ...]) -> "PackedSplit":
+        regions = [r for inst in instances for r in inst.regions]
+        index = {p: j for j, p in enumerate(part_classes)}
+        try:
+            labels = np.array([index[r.gt_part_class] for r in regions], dtype=np.intp)
+        except KeyError as exc:
+            inst = next(i for i in instances if exc.args[0] in {r.gt_part_class for r in i.regions})
+            raise ValidationError(
+                f"instance {inst.id!r} has part label unknown to the detector: {exc}"
+            ) from exc
+        counts = np.array([len(inst.regions) for inst in instances], dtype=np.intp)
+        features = np.array([r.features for r in regions])
+        return cls(tuple(instances), tuple(part_classes), features, labels, counts)
+
+    def __iter__(self):
+        return iter(self.instances)
+
+    def __len__(self) -> int:
+        return len(self.instances)
 
 
-def aggregate_frcnn(ds: DetectionSet) -> np.ndarray:
-    """Sum of per-region vectors with non-maximal probabilities zeroed."""
-    p = ds.probabilities
-    kept = np.zeros_like(p)
-    rows = np.arange(p.shape[0])
-    best = np.argmax(p, axis=1)
-    kept[rows, best] = p[rows, best]
-    return kept.sum(axis=0)
+def _logits(det: PartDetector, features: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """One logits product for consecutive instances' rows, bitwise as if each were alone.
 
-
-def aggregate_retina(ds: DetectionSet) -> np.ndarray:
-    """Sum of the full per-region probability vectors; total mass equals M."""
-    return ds.probabilities.sum(axis=0)
-
-
-def aggregate(ds: DetectionSet, mode: str) -> np.ndarray:
-    """Dispatch on aggregation mode, one of AGGREGATIONS."""
-    if mode == "frcnn":
-        return aggregate_frcnn(ds)
-    if mode == "retina":
-        return aggregate_retina(ds)
-    raise ValidationError(f"unknown aggregation mode {mode!r}; expected one of {AGGREGATIONS}")
-
-
-def _pack(det: PartDetector, dataset: list[SceneInstance], region_weights: list | None):
-    """Checked features (R, d), part labels (R,), multipliers (R,) and region counts (N,)."""
-    regions = [r for inst in dataset for r in inst.regions]
-    index = {p: j for j, p in enumerate(det.part_classes)}
-    try:
-        labels = np.array([index[r.gt_part_class] for r in regions])
-    except KeyError as exc:
-        inst = next(i for i in dataset if any(r.gt_part_class not in index for r in i.regions))
-        raise ValidationError(
-            f"instance {inst.id!r} has part label unknown to the detector: {exc}"
-        ) from exc
-    weights = np.ones(len(regions))
-    if region_weights is not None:
-        arrays = [np.asarray(w, dtype=np.float64) for w in region_weights]
-        for inst, w in zip(dataset, arrays):
-            if w.shape != (len(inst.regions),):
-                got = w.shape[0] if w.ndim == 1 else "?"
-                raise ValidationError(
-                    f"instance {inst.id!r} has {len(inst.regions)} regions but {got} weights"
-                )
-        weights = np.concatenate(arrays)
-        if np.any(weights < 0):
-            inst = next(i for i, w in zip(dataset, arrays) if np.any(w < 0))
-            raise ValidationError(f"instance {inst.id!r}: region weights must be non-negative")
-    counts = np.array([len(inst.regions) for inst in dataset])
-    return np.array([r.features for r in regions]), labels, weights, counts
-
-
-def _instance_terms(det: PartDetector, features, labels, weights, counts):
-    """Yield each consecutive instance's (loss, dW, db), bitwise as if it were alone.
-
-    One logits product and one exp serve all rows, but a one-region row takes
-    the stacked one-row product: alone, it would run numpy's vector path,
-    which rounds unlike the matrix product. Gradient products stay per instance.
+    A one-region row takes the stacked one-row product: alone, it would run
+    numpy's vector path, which rounds unlike the matrix product.
     """
     logits = features @ det.weights.T
     single = np.repeat(counts == 1, counts)
     if single.any():
         logits[single] = (features[single][:, None, :] @ det.weights.T)[:, 0]
     logits += det.bias
-    dlogits, logp = softmax(logits, with_log=True)
+    return logits
+
+
+def _aggregate(probs: np.ndarray, best: np.ndarray, counts: np.ndarray, mode: str) -> np.ndarray:
+    """(N, n) descriptors of consecutive instances holding `counts` rows of `probs` each.
+
+    frcnn keeps only each row's `best` (maximal) entry; retina keeps the whole row.
+    Each instance's rows are added in region order, as `sum(axis=0)` adds them
+    (`np.add.reduceat` rounds otherwise): they fill a zero-padded
+    (N, max count, n) block that is summed over its middle axis.
+    """
+    if mode not in AGGREGATIONS:
+        raise ValidationError(f"unknown aggregation mode {mode!r}; expected one of {AGGREGATIONS}")
+    rows = np.arange(probs.shape[0])
+    owner = np.repeat(np.arange(len(counts)), counts)
+    position = rows - np.repeat(np.cumsum(counts) - counts, counts)
+    padded = np.zeros((len(counts), counts.max(), probs.shape[1]))
+    if mode == "frcnn":
+        padded[owner, position, best] = probs[rows, best]
+    else:
+        padded[owner, position] = probs
+    return padded.sum(axis=1)
+
+
+def detect_split(det: PartDetector, split: PackedSplit, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """One detection pass over a split: descriptors (N, n) and predicted part per region (R,).
+
+    Bitwise equal to `aggregate(detect(det, inst), mode)` per instance.
+    """
+    ds = DetectionSet(det.probabilities(split.features, split.counts))
+    best = ds.predicted_parts()
+    return _aggregate(ds.probabilities, best, split.counts, mode), best
+
+
+def detect(det: PartDetector, inst: SceneInstance) -> DetectionSet:
+    """One probability vector per region, in region order."""
+    features = np.stack([r.features for r in inst.regions])
+    return DetectionSet(det.probabilities(features, np.array([len(features)])))
+
+
+def aggregate(ds: DetectionSet, mode: str) -> np.ndarray:
+    """One instance's descriptor; `mode` is one of AGGREGATIONS."""
+    counts = np.array([ds.probabilities.shape[0]])
+    return _aggregate(ds.probabilities, ds.predicted_parts(), counts, mode)[0]
+
+
+def aggregate_frcnn(ds: DetectionSet) -> np.ndarray:
+    """Sum of per-region vectors with non-maximal probabilities zeroed."""
+    return aggregate(ds, "frcnn")
+
+
+def aggregate_retina(ds: DetectionSet) -> np.ndarray:
+    """Sum of the full per-region probability vectors; total mass equals M."""
+    return aggregate(ds, "retina")
+
+
+def _multipliers(split: PackedSplit, region_weights: list | None) -> np.ndarray:
+    """Checked per-region loss multipliers (R,); all ones when `region_weights` is None."""
+    if region_weights is None:
+        return np.ones(split.features.shape[0])
+    if len(region_weights) != len(split):
+        raise ValidationError(f"{len(region_weights)} weight arrays for {len(split)} instances")
+    arrays = [np.asarray(w, dtype=np.float64) for w in region_weights]
+    for inst, w in zip(split, arrays):
+        if w.shape != (len(inst.regions),):
+            got = w.shape[0] if w.ndim == 1 else "?"
+            raise ValidationError(
+                f"instance {inst.id!r} has {len(inst.regions)} regions but {got} weights"
+            )
+    weights = np.concatenate(arrays)
+    if np.any(weights < 0):
+        inst = next(i for i, w in zip(split, arrays) if np.any(w < 0))
+        raise ValidationError(f"instance {inst.id!r}: region weights must be non-negative")
+    return weights
+
+
+def _instance_terms(det: PartDetector, features, labels, weights, counts):
+    """Yield each consecutive instance's (loss, dW, db), bitwise as if it were alone.
+
+    One logits product and one exp serve all rows; gradient products stay per instance.
+    """
+    dlogits, logp = softmax(_logits(det, features, counts), with_log=True)
     rows = np.arange(len(labels))
     region_loss = weights * logp[rows, labels]
     dlogits[rows, labels] -= 1.0
@@ -202,14 +270,17 @@ def weighted_roi_loss(
     loss = sum_r weight_r * CE(p_r, gt_part_r). Returns (loss, (dW, db)).
     Unit weights reproduce the unweighted loss bit for bit.
     """
-    packed = _pack(det, [inst], None if weights is None else [weights])
-    ((loss, grad_w, grad_b),) = _instance_terms(det, *packed)
+    split = PackedSplit.pack([inst], det.part_classes)
+    multipliers = _multipliers(split, None if weights is None else [weights])
+    ((loss, grad_w, grad_b),) = _instance_terms(
+        det, split.features, split.labels, multipliers, split.counts
+    )
     return loss, (grad_w, grad_b)
 
 
 def train_detector_epoch(
     det: PartDetector,
-    dataset: list[SceneInstance],
+    dataset: PackedSplit,
     region_weights: list[np.ndarray] | None,
     rng: np.random.Generator,
     learning_rate: float,
@@ -227,9 +298,10 @@ def train_detector_epoch(
     """
     if not dataset:
         raise ValidationError("cannot train on an empty dataset")
-    if region_weights is not None and len(region_weights) != len(dataset):
-        raise ValidationError(f"{len(region_weights)} weight arrays for {len(dataset)} instances")
-    features, labels, weights, counts = _pack(det, dataset, region_weights)
+    if dataset.part_classes != det.part_classes:
+        raise ValidationError("the split is labelled against other part classes than the detector")
+    weights = _multipliers(dataset, region_weights)
+    features, labels, counts = dataset.features, dataset.labels, dataset.counts
     ends = np.cumsum(counts)
     order = rng.permutation(len(dataset))
     updated = det.copy()

@@ -205,7 +205,7 @@ def _live_masks(live: np.ndarray) -> np.ndarray:
     """
     count = int(live.sum())
     ints = np.arange(1 << count, dtype=np.uint32)
-    shift = np.where(live, np.cumsum(live) - 1, count)
+    shift = np.where(live, np.cumsum(live) - 1, count).astype(np.uint32)
     return ((ints[:, None] >> shift) & 1).astype(bool)
 
 
@@ -216,7 +216,10 @@ def _coalition_weights(n: int) -> np.ndarray:
     Built once per n and shared by every caller, so it is read-only. The
     full coalition, which no feature can join, gets weight 0.
     """
-    popcount = _all_masks(n).sum(axis=1)
+    # coalition sizes by index: the indices from 2^k up hold one feature more than those below
+    popcount = np.zeros(1, dtype=np.intp)
+    for _ in range(n):
+        popcount = np.concatenate([popcount, popcount + 1])
     # weight of a coalition of size t when adding one more feature
     weights = np.array(
         [math.factorial(t) * math.factorial(n - t - 1) / math.factorial(n) for t in range(n)]

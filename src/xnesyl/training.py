@@ -1,8 +1,9 @@
 """Orchestration of the two training regimes and full evaluation.
 
-Both regimes run one loop. Every epoch makes one detector pass over the
-training split. With a weighting scheme, each epoch then trains a fresh
-classifier on the detector's descriptors, draws the attribution
+Both regimes run one loop over the training split, packed once. Every
+epoch makes one detector pass over it. With a weighting scheme, each
+epoch then trains a fresh classifier on the detector's descriptors
+(one detection call over the split), draws the attribution
 background, scores every training instance's attributions against the
 knowledge graph and turns them into per-region loss multipliers for the
 *next* detector epoch (the first epoch runs unweighted; attributions
@@ -25,7 +26,7 @@ from . import alignment
 from .alignment import WeightScheme, derive_seed, mean_shap_ged, region_weights
 from .classifier import MLPClassifier, accuracy, train_classifier
 from .datagen import SceneInstance
-from .detector import AGGREGATIONS, PartDetector, aggregate, detect, train_detector_epoch
+from .detector import AGGREGATIONS, PackedSplit, PartDetector, detect_split, train_detector_epoch
 from .errors import NumericalError, ValidationError
 from .kg import KnowledgeGraph, attribution_matrix
 from .shapley import EXACT_MAX_FEATURES, SHAP_MODES, BackgroundSet, shap_matrix
@@ -99,17 +100,16 @@ class RunArtifacts:
 
 
 def descriptors(
-    det: PartDetector, instances: list[SceneInstance], kg: KnowledgeGraph, mode: str
-) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """The one inference pass over a split, detecting each instance once.
+    det: PartDetector, split: PackedSplit, kg: KnowledgeGraph, mode: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one inference pass over a split: one detection call for all its regions.
 
     Returns the aggregated descriptors (N, n), the object labels (N,) and
-    each instance's predicted part index per region.
+    the predicted part index of every region (R,), in the split's row order.
     """
-    detections = [detect(det, inst) for inst in instances]
-    x = np.stack([aggregate(ds, mode) for ds in detections])
-    y = np.array([kg.object_index(inst.gt_object_class) for inst in instances])
-    return x, y, [ds.predicted_parts() for ds in detections]
+    x, predicted = detect_split(det, split, mode)
+    y = np.array([kg.object_index(inst.gt_object_class) for inst in split])
+    return x, y, predicted
 
 
 def _train(
@@ -134,13 +134,15 @@ def _train(
             f"knowledge graph has {n}; use the kernel mode"
         )
     kg_matrix = attribution_matrix(kg)
-    det = PartDetector.create(kg, train_split[0].regions[0].features.shape[0])
+    # packed once: every detector epoch and descriptor pass reads these arrays
+    packed = PackedSplit.pack(train_split, kg.part_classes)
+    det = PartDetector.create(kg, packed.features.shape[1])
     weights: list[np.ndarray] | None = None  # the previous epoch's multipliers
     per_epoch: list[dict] = []
     for epoch in range(1, cfg.epochs_det + 1):
         det, det_loss = train_detector_epoch(
             det,
-            train_split,
+            packed,
             weights,
             rng=_derived_rng(cfg.seed, _TAG_BATCH, epoch),
             learning_rate=cfg.lr_det,
@@ -150,7 +152,7 @@ def _train(
             raise NumericalError(f"detector loss or weights became non-finite at epoch {epoch}")
         alpha = {"alpha_mean": 1.0, "alpha_max": 1.0}
         if cfg.scheme is not None or epoch == cfg.epochs_det:
-            x_train, y_train, predicted = descriptors(det, train_split, kg, cfg.aggregation)
+            x_train, y_train, predicted = descriptors(det, packed, kg, cfg.aggregation)
             clf_seed = derive_seed(cfg.seed, _TAG_CLF, epoch)
             clf = train_classifier(
                 MLPClassifier.create(kg, seed=clf_seed),
@@ -163,16 +165,16 @@ def _train(
             # always sampled: it scores the whole training split every epoch
             seeds = [
                 derive_seed(cfg.seed, _TAG_SHAP_TRAIN, epoch, index)
-                for index in range(len(train_split))
+                for index in range(len(packed))
             ]
             shap_values = shap_matrix(
                 clf, x_train, background, "kernel", cfg.shap_samples, seed=seeds
             )
             weights = region_weights(
-                shap_values[np.arange(len(train_split)), y_train],
+                shap_values[np.arange(len(packed)), y_train],
                 kg_matrix[y_train],
                 x_train,
-                predicted,
+                np.split(predicted, np.cumsum(packed.counts)[:-1]),
                 cfg.scheme,
                 cfg.v_threshold,
             )
@@ -210,20 +212,14 @@ def train_shap_backprop(
     return _train(kg, splits, cfg)
 
 
-def part_macro_accuracy(
-    predicted: list[np.ndarray], instances: list[SceneInstance], kg: KnowledgeGraph
-) -> float:
+def part_macro_accuracy(predicted: np.ndarray, split: PackedSplit, kg: KnowledgeGraph) -> float:
     """Mean over part classes (with test support) of per-class region accuracy.
 
-    `predicted` holds each instance's predicted part index per region.
+    `predicted` holds the predicted part index of each of the split's regions.
     """
-    correct = np.zeros(kg.num_parts)
-    totals = np.zeros(kg.num_parts)
-    for inst, parts in zip(instances, predicted):
-        for region, pred in zip(inst.regions, parts):
-            j = kg.part_index(region.gt_part_class)
-            totals[j] += 1
-            correct[j] += float(pred == j)
+    labels = split.labels
+    totals = np.bincount(labels, minlength=kg.num_parts)
+    correct = np.bincount(labels[predicted == labels], minlength=kg.num_parts)
     supported = totals > 0
     if not np.any(supported):
         raise ValidationError("no regions in the split")
@@ -242,13 +238,14 @@ def evaluate(
     if not test_split:
         raise ValidationError("test split is empty")
     cfg = artifacts.config
-    x_test, y_test, predicted = descriptors(artifacts.detector, test_split, kg, cfg.aggregation)
+    split = PackedSplit.pack(test_split, kg.part_classes)
+    x_test, y_test, predicted = descriptors(artifacts.detector, split, kg, cfg.aggregation)
     ged_mean, ged_per_instance = mean_shap_ged(
         artifacts.classifier, x_test, [inst.id for inst in test_split], kg,
         artifacts.background, cfg.s, cfg.shap_mode, cfg.shap_samples, shap_eval_seed(cfg),
     )
     metrics = {
-        "part_macro_accuracy": part_macro_accuracy(predicted, test_split, kg),
+        "part_macro_accuracy": part_macro_accuracy(predicted, split, kg),
         "accuracy": accuracy(artifacts.classifier, x_test, y_test),
         "mean_shap_ged": ged_mean,
     }

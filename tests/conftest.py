@@ -12,13 +12,13 @@ def monumai() -> KnowledgeGraph:
 
 @pytest.fixture
 def detect_calls(monkeypatch):
-    """One entry per detector inference call made while the test runs."""
+    """The regions each detector inference call made while the test runs, one entry per call."""
     calls = []
     probabilities = PartDetector.probabilities
 
-    def counted(det, features):
-        calls.append(1)
-        return probabilities(det, features)
+    def counted(det, features, counts):
+        calls.append(len(features))
+        return probabilities(det, features, counts)
 
     monkeypatch.setattr(PartDetector, "probabilities", counted)
     return calls

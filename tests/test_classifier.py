@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from xnesyl.classifier import (
+    BATCH_SIZE,
+    MOMENTUM,
     MLPClassifier,
     accuracy,
     load_classifier,
@@ -13,7 +15,7 @@ from xnesyl.classifier import (
     train_classifier,
 )
 from xnesyl.detector import softmax
-from xnesyl.errors import ValidationError
+from xnesyl.errors import NumericalError, ValidationError
 
 
 def random_classifier(kg, seed):
@@ -24,6 +26,40 @@ def random_classifier(kg, seed):
     clf.w2 = rng.normal(scale=0.5, size=clf.w2.shape)
     clf.b2 = rng.normal(scale=0.1, size=clf.b2.shape)
     return clf
+
+
+def reference_loss_and_grad(clf, x, labels):
+    """The batch loss and gradients computed one fresh array per parameter."""
+    batch = x.shape[0]
+    z1 = x @ clf.w1.T + clf.b1
+    hidden = np.maximum(z1, 0.0)
+    z2 = hidden @ clf.w2.T + clf.b2
+    z = z2 - z2.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    total = e.sum(axis=-1, keepdims=True)
+    dz2, logp = e / total, z - np.log(total)
+    loss = float(-logp[np.arange(batch), labels].mean())
+    dz2[np.arange(batch), labels] -= 1.0
+    dz2 /= batch
+    dz1 = (dz2 @ clf.w2) * (z1 > 0.0)
+    return loss, [dz1.T @ x, dz1.sum(axis=0), dz2.T @ hidden, dz2.sum(axis=0)]
+
+
+def reference_train(clf, x, labels, epochs, learning_rate, seed):
+    """Momentum SGD stepping each parameter array on its own."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5D6]))
+    model = clf.copy()
+    velocity = [np.zeros_like(p) for p in model.parameters()]
+    for _ in range(epochs):
+        order = rng.permutation(len(x))
+        for start in range(0, len(x), BATCH_SIZE):
+            idx = order[start : start + BATCH_SIZE]
+            _, grads = reference_loss_and_grad(model, x[idx], labels[idx])
+            for p, v, g in zip(model.parameters(), velocity, grads):
+                v *= MOMENTUM
+                v -= learning_rate * g
+                p += v
+    return model
 
 
 class TestForward:
@@ -105,6 +141,50 @@ class TestGradients:
                 p -= h * d
             numeric = (loss_and_grad(plus, x, y)[0] - loss_and_grad(minus, x, y)[0]) / (2 * h)
             assert abs(analytic - numeric) / max(abs(analytic), abs(numeric)) <= 1e-4
+
+
+class TestFlatStep:
+    """The flat-buffer step against a per-parameter reference, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "count, epochs", [(36, 60), (30, 40), (1, 3), (BATCH_SIZE + 1, 5), (600, 60)]
+    )
+    def test_bitwise_equal_to_per_parameter_step(self, monumai, count, epochs):
+        rng = np.random.default_rng(count)
+        x = rng.uniform(0, 3, size=(count, monumai.num_parts)) * (rng.random((count, 1)) > 0.5)
+        y = rng.integers(0, monumai.num_object_classes, size=count)
+        clf = MLPClassifier.create(monumai, seed=count)
+        trained = train_classifier(clf, x, y, epochs, 0.05, seed=count)
+        expected = reference_train(clf, x, y, epochs, 0.05, seed=count)
+        for got, want in zip(trained.parameters(), expected.parameters()):
+            np.testing.assert_array_equal(got, want)
+        loss, grads = loss_and_grad(trained, x, y)
+        want_loss, want_grads = reference_loss_and_grad(trained, x, y)
+        assert loss == want_loss
+        for got, want in zip(grads, want_grads):
+            assert got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+
+    def test_nan_feature_message(self, monumai):
+        x = np.ones((40, monumai.num_parts))
+        x[37, 3] = np.nan
+        y = np.arange(40) % monumai.num_object_classes
+        clf = MLPClassifier.create(monumai, seed=1)
+        with np.errstate(all="ignore"), pytest.raises(
+            NumericalError, match="^classifier loss became non-finite at epoch 1$"
+        ):
+            train_classifier(clf, x, y, 3, 0.05, seed=1)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_weight_message(self, monumai, value):
+        x = np.ones((40, monumai.num_parts))
+        y = np.arange(40) % monumai.num_object_classes
+        clf = MLPClassifier.create(monumai, seed=2)
+        clf.w2[1, 4] = value
+        with np.errstate(all="ignore"), pytest.raises(
+            NumericalError, match="^classifier loss became non-finite at epoch 1$"
+        ):
+            train_classifier(clf, x, y, 3, 0.05, seed=2)
 
 
 class TestTraining:

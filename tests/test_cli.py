@@ -312,7 +312,8 @@ class TestSavedBackground:
             "eval", "--kg", kg_path, "--data", run_dir["data"],
             "--checkpoints", run_dir["out"], "--out", str(tmp_path / "eval.json"),
         ]) == 0
-        assert len(detect_calls) == len(test_split)
+        # every test region inferred once, in one call
+        assert detect_calls == [sum(len(inst.regions) for inst in test_split)]
 
     def test_explain_detects_one_instance(self, kg_path, run_dir, tmp_path, detect_calls):
         inst_id = read_dataset(run_dir["data"], monumai_kg())[0].id
@@ -435,10 +436,10 @@ class TestExplain:
         import csv
 
         from xnesyl.alignment import instance_attribution
-        from xnesyl.detector import load_detector
+        from xnesyl.detector import aggregate, detect, load_detector
         from xnesyl.classifier import load_classifier
         from xnesyl.shapley import BackgroundSet
-        from xnesyl.training import config_from_echo, descriptors, shap_eval_seed
+        from xnesyl.training import config_from_echo, shap_eval_seed
 
         kg = monumai_kg()
         ckpt = run_dir["root"] / "ckpt"
@@ -455,7 +456,7 @@ class TestExplain:
         background = BackgroundSet(
             np.array(json.loads((ckpt / "background.json").read_text())["vectors"])
         )
-        v = descriptors(load_detector(ckpt / "detector.json"), [inst], kg, cfg.aggregation)[0][0]
+        v = aggregate(detect(load_detector(ckpt / "detector.json"), inst), cfg.aggregation)
         values, _ = instance_attribution(
             load_classifier(ckpt / "classifier.json"), v, index, kg, background, cfg.s,
             cfg.shap_mode, cfg.shap_samples, shap_eval_seed(cfg),
@@ -909,6 +910,25 @@ class TestUnwritableOutput:
         err = capsys.readouterr().err
         assert err == f"error: {missing}: No such file or directory\n"
         assert not missing.parent.exists()
+
+    @pytest.mark.parametrize("under", ["eval.json", "sub/eval.json"])
+    def test_eval_refuses_a_path_under_a_file_before_detecting(
+        self, kg_path, run_dir, tmp_path, capsys, detect_calls, under
+    ):
+        blocker = tmp_path / "file"
+        blocker.write_text("keep\n", encoding="utf-8")
+        out = blocker / under
+        detect_calls.clear()
+        code = main([
+            "eval", "--kg", kg_path, "--data", run_dir["data"],
+            "--checkpoints", run_dir["out"], "--out", str(out),
+        ])
+        assert code == 3
+        assert len(detect_calls) == 0
+        # the OS's own reason, as opening the path would give it
+        err = capsys.readouterr().err
+        assert err == f"error: {out}: Not a directory\n"
+        assert blocker.read_text(encoding="utf-8") == "keep\n"
 
     def test_eval_refuses_a_directory_before_detecting(
         self, kg_path, run_dir, tmp_path, capsys, detect_calls

@@ -5,9 +5,12 @@ import pytest
 
 from xnesyl.datagen import GeneratorConfig, Region, SceneInstance, generate_dataset, split_dataset
 from xnesyl.detector import (
+    AGGREGATIONS,
     BATCH_SIZE,
     DetectionSet,
+    PackedSplit,
     PartDetector,
+    aggregate,
     aggregate_frcnn,
     aggregate_retina,
     detect,
@@ -16,7 +19,8 @@ from xnesyl.detector import (
     train_detector_epoch,
     weighted_roi_loss,
 )
-from xnesyl.errors import ValidationError
+from xnesyl.errors import NumericalError, ValidationError
+from xnesyl.training import descriptors
 
 
 def random_detector(kg, dim, seed):
@@ -47,6 +51,21 @@ def reference_roi_loss(det, inst, weights):
     dlogits[np.arange(m), labels] -= 1.0
     dlogits *= weights[:, None]
     return loss, dlogits.T @ features, dlogits.sum(axis=0)
+
+
+def reference_descriptor(det, inst, mode):
+    """One instance's descriptor and predicted parts, detected and summed on that instance alone."""
+    features = np.stack([r.features for r in inst.regions])
+    logits = features @ det.weights.T + det.bias
+    z = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    probs = e / e.sum(axis=-1, keepdims=True)
+    rows, best = np.arange(len(probs)), np.argmax(probs, axis=1)
+    if mode == "frcnn":
+        kept = np.zeros_like(probs)
+        kept[rows, best] = probs[rows, best]
+        probs = kept
+    return probs.sum(axis=0), best
 
 
 def reference_epoch(det, dataset, region_weights, rng, learning_rate):
@@ -103,6 +122,7 @@ class TestDetect:
         data = generate_dataset(monumai, cfg, 400)
         train, _, test = split_dataset(data)
         det = PartDetector.create(monumai, 8)
+        train = PackedSplit.pack(train, det.part_classes)
         for epoch in range(1, 9):
             det, _ = train_detector_epoch(
                 det, train, None, rng=np.random.default_rng(epoch), learning_rate=0.5
@@ -114,6 +134,58 @@ class TestDetect:
                 correct += pred == monumai.part_index(region.gt_part_class)
                 total += 1
         assert correct / total >= 0.95
+
+
+class TestDetectSplit:
+    """A split's one detection pass against an instance-by-instance reference, bit for bit."""
+
+    # 1:1 is all one-region rows; 8:24 and 1:40 sum many rows per instance
+    @pytest.mark.parametrize("regions", [(1, 1), (1, 3), (2, 6), (8, 24), (1, 40)])
+    @pytest.mark.parametrize("count", [1, BATCH_SIZE, BATCH_SIZE + 1, 60])
+    @pytest.mark.parametrize("mode", AGGREGATIONS)
+    def test_bitwise_equal_to_instance_loop(self, monumai, regions, count, mode):
+        cfg = GeneratorConfig(
+            seed=count + regions[1], regions_per_instance=regions, noise_rate=0.2, separation=2.0
+        )
+        data = generate_dataset(monumai, cfg, count)
+        if count > 2:  # a one-region instance between multi-region ones
+            middle = data[count // 2]
+            data[count // 2] = SceneInstance(middle.id, middle.gt_object_class, middle.regions[:1])
+        det = random_detector(monumai, cfg.feature_dim, seed=count)
+        x, y, predicted = descriptors(det, PackedSplit.pack(data, det.part_classes), monumai, mode)
+        expected = [reference_descriptor(det, inst, mode) for inst in data]
+        np.testing.assert_array_equal(x, np.stack([v for v, _ in expected]))
+        np.testing.assert_array_equal(predicted, np.concatenate([best for _, best in expected]))
+        assert y.tolist() == [monumai.object_index(inst.gt_object_class) for inst in data]
+        for inst, (v, best) in zip(data, expected):
+            ds = detect(det, inst)
+            np.testing.assert_array_equal(aggregate(ds, mode), v)
+            np.testing.assert_array_equal(ds.predicted_parts(), best)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 1e308])
+    def test_non_finite_detector_message(self, monumai, value):
+        data = generate_dataset(monumai, GeneratorConfig(seed=3), 40)
+        det = random_detector(monumai, GeneratorConfig.feature_dim, seed=3)
+        det.weights[2, 1] = value
+        det.weights[5] = value
+        packed = PackedSplit.pack(data, det.part_classes)
+        for mode in AGGREGATIONS:
+            with np.errstate(all="ignore"), pytest.raises(
+                NumericalError, match="^part detector probabilities are non-finite$"
+            ):
+                descriptors(det, packed, monumai, mode)
+
+    def test_feature_dim_message(self, monumai):
+        data = generate_dataset(monumai, GeneratorConfig(seed=4, feature_dim=5), 10)
+        det = random_detector(monumai, 8, seed=4)
+        with pytest.raises(ValidationError, match="^features have dim 5, detector expects 8$"):
+            descriptors(det, PackedSplit.pack(data, det.part_classes), monumai, "frcnn")
+
+    def test_unknown_aggregation_message(self, monumai):
+        data = generate_dataset(monumai, GeneratorConfig(seed=5), 3)
+        det = random_detector(monumai, GeneratorConfig.feature_dim, seed=5)
+        with pytest.raises(ValidationError, match="unknown aggregation mode 'mean'"):
+            descriptors(det, PackedSplit.pack(data, det.part_classes), monumai, "mean")
 
 
 class TestAggregation:
@@ -255,7 +327,7 @@ class TestWeightedLoss:
 class TestTrainEpoch:
     def test_loss_decreases_on_separable_data(self, monumai):
         cfg = GeneratorConfig(seed=30, noise_rate=0.0, separation=6.0)
-        data = generate_dataset(monumai, cfg, 150)
+        data = PackedSplit.pack(generate_dataset(monumai, cfg, 150), monumai.part_classes)
         det = PartDetector.create(monumai, cfg.feature_dim)
         losses = []
         for epoch in range(4):
@@ -271,6 +343,7 @@ class TestTrainEpoch:
         data = generate_dataset(monumai, cfg, 60)
         det = PartDetector.create(monumai, cfg.feature_dim)
         ones = [np.ones(len(inst.regions)) for inst in data]
+        data = PackedSplit.pack(data, det.part_classes)
         det_a, loss_a = train_detector_epoch(
             det, data, None, rng=np.random.default_rng(0), learning_rate=0.5
         )
@@ -284,12 +357,23 @@ class TestTrainEpoch:
     def test_empty_dataset_rejected(self, monumai):
         det = PartDetector.create(monumai, 4)
         with pytest.raises(ValidationError, match="empty"):
-            train_detector_epoch(det, [], None, rng=np.random.default_rng(0), learning_rate=0.5)
+            train_detector_epoch(
+                det, PackedSplit.pack([], det.part_classes), None,
+                rng=np.random.default_rng(0), learning_rate=0.5,
+            )
+
+    def test_split_packed_against_other_part_classes_rejected(self, monumai):
+        data = generate_dataset(monumai, GeneratorConfig(seed=36), 5)
+        det = PartDetector.create(monumai, GeneratorConfig.feature_dim)
+        data = PackedSplit.pack(data, det.part_classes[::-1])
+        with pytest.raises(ValidationError, match="other part classes than the detector"):
+            train_detector_epoch(det, data, None, rng=np.random.default_rng(0), learning_rate=0.5)
 
     def test_misaligned_weight_list_rejected(self, monumai):
         data = generate_dataset(monumai, GeneratorConfig(seed=32), 5)
         det = PartDetector.create(monumai, GeneratorConfig.feature_dim)
         ones = [np.ones(len(inst.regions)) for inst in data[:-1]]
+        data = PackedSplit.pack(data, det.part_classes)
         with pytest.raises(ValidationError, match="4 weight arrays for 5 instances"):
             train_detector_epoch(det, data, ones, rng=np.random.default_rng(0), learning_rate=0.5)
 
@@ -306,9 +390,10 @@ class TestTrainEpoch:
         expected = det.copy()
         draw = np.random.default_rng(regions[1])
         weights = None
+        packed = PackedSplit.pack(data, det.part_classes)
         for epoch in range(3):
             det, loss = train_detector_epoch(
-                det, data, weights, rng=np.random.default_rng(epoch), learning_rate=0.5
+                det, packed, weights, rng=np.random.default_rng(epoch), learning_rate=0.5
             )
             expected, expected_loss = reference_epoch(
                 expected, data, weights, rng=np.random.default_rng(epoch), learning_rate=0.5
@@ -334,7 +419,8 @@ class TestTrainEpoch:
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
         with pytest.raises(ValidationError, match=match):
-            train_detector_epoch(det, data, weights, rng=rng, learning_rate=0.5)
+            packed = PackedSplit.pack(data, det.part_classes)
+            train_detector_epoch(det, packed, weights, rng=rng, learning_rate=0.5)
         # nothing was drawn, so no batch was formed
         assert rng.bit_generator.state == state
 

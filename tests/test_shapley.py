@@ -218,6 +218,28 @@ def exact_cases(draw, sparse=None, n_max=10):
     return model, x, BackgroundSet(rows)
 
 
+class TestCoalitionWeights:
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_table_matches_per_mask_formula(self, n):
+        # bitwise: the size-t weight t! (n - t - 1)! / n! of each mask, 0 for the full one
+        weight = [math.factorial(t) * math.factorial(n - t - 1) / math.factorial(n)
+                  for t in range(n)] + [0.0]
+        expected = np.array([weight[bin(mask).count("1")] for mask in range(1 << n)])
+        table = shapley_module._coalition_weights(n)
+        assert table.dtype == np.float64 and not table.flags.writeable
+        np.testing.assert_array_equal(table, expected)
+
+    @pytest.mark.parametrize("live", [[True], [False, True, True, False, True], [True] * 9])
+    def test_live_masks_select_index_bits(self, live):
+        live = np.array(live)
+        columns = np.flatnonzero(live)
+        expected = np.zeros((1 << len(columns), live.size), dtype=bool)
+        for index in range(1 << len(columns)):
+            for bit, column in enumerate(columns):
+                expected[index, column] = bool(index >> bit & 1)
+        np.testing.assert_array_equal(shapley_module._live_masks(live), expected)
+
+
 class TestReducedGames:
     @given(exact_cases())
     def test_matches_full_enumeration(self, case):

@@ -214,24 +214,30 @@ class TestEvaluate:
         assert bare.metrics == {} and bare.ged_per_instance == {}
 
 
+def _regions(split):
+    return sum(len(inst.regions) for inst in split)
+
+
 class TestDetectionPasses:
+    """Each pass over a split infers every one of its regions once, in one call."""
+
     def test_train_standard_detects_each_instance_once(self, small_splits, detect_calls):
         kg, splits = small_splits
         train_standard(kg, splits, TrainConfig(seed=15, **FAST))
-        assert len(detect_calls) == len(splits[0]) + len(splits[2])
+        assert detect_calls == [_regions(splits[0]), _regions(splits[2])]
 
     def test_train_shap_backprop_detects_train_split_each_epoch(self, small_splits, detect_calls):
         kg, splits = small_splits
         cfg = TrainConfig(seed=15, scheme=WeightScheme("linear_instance"), **FAST)
         train_shap_backprop(kg, splits, cfg)
-        assert len(detect_calls) == cfg.epochs_det * len(splits[0]) + len(splits[2])
+        assert detect_calls == [_regions(splits[0])] * cfg.epochs_det + [_regions(splits[2])]
 
     def test_evaluate_detects_each_test_instance_once(self, small_splits, detect_calls):
         kg, splits = small_splits
         artifacts = train_standard(kg, splits, TrainConfig(seed=15, **FAST))
         detect_calls.clear()
         evaluate(artifacts, splits[2], kg)
-        assert len(detect_calls) == len(splits[2])
+        assert detect_calls == [_regions(splits[2])]
 
 
 class TestRefusedBeforeTraining:
