@@ -45,6 +45,7 @@ black-box route is the oracle the tests hold both structured ones to.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
@@ -92,8 +93,12 @@ SHAP_MODES = ("exact", "kernel")
 EXACT_MAX_FEATURES = 16
 # Cap on the elements of one chunk's composite rows or pre-activations. At
 # 2^16 float64 (512 KB) a chunk's temporaries stay in a 2 MB L2 cache: one
-# dense exact call (n = 14, bg 16) takes 25 ms against 48 ms at 2^22 on a
-# 2-core Xeon VM with 2 MB of L2 per core.
+# dense exact call (n = 14, bg 16) takes ~8.8 ms against ~10 ms at 2^15 and
+# ~12 ms at 2^22 on a 2-core Xeon VM with 2 MB of L2 per core. The cap also
+# fixes where `_layered_game_values` splits a coalition index into low and
+# high bits, and so the order of its sums and the exact attribution bits:
+# 2^15, 2^17 and 2^18 each change them, so it cannot be retuned without
+# breaking byte-identity with earlier runs.
 _CHUNK_ELEMENTS = 1 << 16
 # Cap on one pack of exact games, whose table, logits and values are live
 # together. Over 100 E1 benchmark cycles (bg 32), a quarter of the chunk
@@ -138,6 +143,30 @@ def _is_layered(model: Model) -> bool:
     return hasattr(model, "first_layer")
 
 
+@contextlib.contextmanager
+def _row_buffer(row: int):
+    """Size numpy's ufunc buffer to one row of `row` elements in the body.
+
+    Where a buffer holds two or more rows, numpy 2.4 runs an operation that
+    broadcasts one operand along the rows, such as `table + offset[..., None]`,
+    through a buffered path at under half the speed of the plain loop. A
+    buffer of one row, rounded up to the multiple of 16 that numpy 1.x
+    requires, holds fewer than two. Rows shorter than 16, and a buffer no
+    larger than that already, are left alone, so the size only shrinks.
+    The caller's size is restored on every exit: numpy 1.x does not tie it
+    to `np.errstate`.
+    """
+    size = -(-row // 16) * 16
+    if row < 16 or size >= np.getbufsize():
+        yield
+        return
+    old = np.setbufsize(size)
+    try:
+        yield
+    finally:
+        np.setbufsize(old)
+
+
 def _first_layer(model: LayeredModel, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The model's (weight, bias), checked against an n-feature descriptor."""
     weight, bias = model.first_layer
@@ -158,13 +187,16 @@ def _coalition_values(
     reference b, coalition S has the pre-activation
     (W b + c) + mask_S @ ((x - b) * W^T), so one (K, n) @ (n, B * hidden)
     product gives every (coalition, reference) row without building the
-    composite descriptors. Any other model is called on the (K * B, n)
-    composite rows.
+    composite descriptors, and its chunks run under a ufunc buffer of one
+    (B * hidden) row (`_row_buffer`): 5% less time per E2-shaped row (n =
+    14, bg 16, 256 draws) on a 2-core Xeon VM. Any other model is called
+    on the (K * B, n) composite rows under the caller's buffer.
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
     b = bg.vectors
-    if _is_layered(model):
+    layered = _is_layered(model)
+    if layered:
         weight, bias = _first_layer(model, n)
         hidden = weight.shape[0]
         width = bg.size * hidden
@@ -185,11 +217,12 @@ def _coalition_values(
 
     chunk = max(1, _CHUNK_ELEMENTS // max(1, width))
     out_chunks = []
-    for start in range(0, masks.shape[0], chunk):
-        part = masks[start : start + chunk]
-        outputs = np.asarray(evaluate(part), dtype=np.float64)
-        outputs = outputs.reshape(part.shape[0], bg.size, -1).mean(axis=1)
-        out_chunks.append(outputs)
+    with _row_buffer(width) if layered else contextlib.nullcontext():
+        for start in range(0, masks.shape[0], chunk):
+            part = masks[start : start + chunk]
+            outputs = np.asarray(evaluate(part), dtype=np.float64)
+            outputs = outputs.reshape(part.shape[0], bg.size, -1).mean(axis=1)
+            out_chunks.append(outputs)
     return np.concatenate(out_chunks, axis=0)
 
 
@@ -271,6 +304,13 @@ def _layered_game_values(
     array grows past the cap. The cost is one addition per element instead
     of an n-term product, and no mask or composite row is built.
 
+    The blocks run under a ufunc buffer of one table row, 2^low elements
+    (`_row_buffer`): the offset add broadcasts along table rows, the head's
+    bias add and softmax along logit rows of R * 2^low, and on E2 (hidden
+    11, bg 16, 2^8) numpy's default buffer holds two or more of either. A
+    dense (11, 23, 256) block then takes 118 us instead of 151 us, with the
+    same bits.
+
     Every game gets the bits it gets alone: its base W b + c is one product
     over its own references, and its mean runs over its own slice of them.
     Consecutive games with as many references share those two steps.
@@ -302,18 +342,19 @@ def _layered_game_values(
     # the head takes (R, hidden) rows; the transposed view keeps `pre` hidden-major
     pre_rows = pre.reshape(hidden, -1).T
     values = None
-    for block in range(blocks):
-        offset = ((block >> shifts) & 1) @ high
-        np.add(table, offset.reshape(hidden, refs, 1), out=pre)
-        probs = model.head(pre_rows).T  # (m, R * 2^low)
-        m = probs.shape[0]
-        if values is None:
-            values = np.empty((len(sizes), m, 1 << count))
-        probs = probs.reshape(m, refs, -1)
-        coalitions = slice(block << low, (block + 1) << low)
-        for run_games, run_refs, split in runs:
-            mean = probs[:, run_refs].reshape(m, *split, -1).mean(axis=2)
-            values[run_games, :, coalitions] = mean.transpose(1, 0, 2)
+    with _row_buffer(1 << low):
+        for block in range(blocks):
+            offset = ((block >> shifts) & 1) @ high
+            np.add(table, offset.reshape(hidden, refs, 1), out=pre)
+            probs = model.head(pre_rows).T  # (m, R * 2^low)
+            m = probs.shape[0]
+            if values is None:
+                values = np.empty((len(sizes), m, 1 << count))
+            probs = probs.reshape(m, refs, -1)
+            coalitions = slice(block << low, (block + 1) << low)
+            for run_games, run_refs, split in runs:
+                mean = probs[:, run_refs].reshape(m, *split, -1).mean(axis=2)
+                values[run_games, :, coalitions] = mean.transpose(1, 0, 2)
     return values
 
 

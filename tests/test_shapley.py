@@ -5,6 +5,7 @@ models) and the classical axioms; the kernel estimator is validated
 against the exact enumerator.
 """
 
+import contextlib
 import itertools
 import math
 from unittest import mock
@@ -601,6 +602,17 @@ def per_game_reference(clf, x, bg):
     return out
 
 
+def straddling_case():
+    """At bg 100 the games of one live count hold more references than one
+    pack takes, and 50 copies of a reference that differs from every row on
+    8 or more columns make one game past the chunk cap alone, evaluated in
+    blocks."""
+    clf, x, bg = e1_shaped_case(rows=10, bg_rows=50, seed=1)
+    far = np.zeros(x.shape[1])
+    far[:8] = 0.5
+    return clf, x, BackgroundSet(np.concatenate([bg.vectors, np.tile(far, (50, 1))]))
+
+
 class TestExactStack:
     """The stacked exact estimator gives every row what the one-row call gives it."""
 
@@ -622,14 +634,7 @@ class TestExactStack:
         self.assert_rows_are_one_row_calls(clf, x, bg)
 
     def test_packs_straddle_the_caps(self):
-        # at bg 100 the games of one live count hold more references than
-        # one pack takes, and 50 copies of a reference that differs from
-        # every row on 8 or more columns make one game past the chunk cap
-        # alone, evaluated in blocks
-        clf, x, bg = e1_shaped_case(rows=10, bg_rows=50, seed=1)
-        far = np.zeros(x.shape[1])
-        far[:8] = 0.5
-        bg = BackgroundSet(np.concatenate([bg.vectors, np.tile(far, (50, 1))]))
+        clf, x, bg = straddling_case()
         hidden = clf.w1.shape[0]
         held = {}
         single = 0
@@ -741,6 +746,102 @@ class TestExactStack:
         stacked = shap_matrix(clf, x, bg, "exact", 64, [0] * 4)
         for row, values in zip(x, stacked):
             np.testing.assert_array_equal(values, shap_matrix(clf, row, bg, "exact", 64, 0))
+
+
+class RecordingHead:
+    """A classifier whose head records numpy's ufunc buffer size at each call
+    and raises at call `fail_at`."""
+
+    def __init__(self, clf, fail_at=None):
+        self.clf, self.fail_at, self.sizes = clf, fail_at, []
+
+    def __call__(self, rows):
+        return self.clf(rows)
+
+    @property
+    def first_layer(self):
+        return self.clf.first_layer
+
+    def head(self, pre):
+        self.sizes.append(np.getbufsize())
+        if len(self.sizes) == self.fail_at:
+            raise RuntimeError("head failed")
+        return self.clf.head(pre)
+
+
+@pytest.fixture(params=["default", 4096])
+def caller_buffer(request):
+    """numpy's default buffer size, or one the caller set."""
+    size = np.getbufsize() if request.param == "default" else request.param
+    old = np.setbufsize(size)
+    yield size
+    np.setbufsize(old)
+
+
+class TestRowBuffer:
+    """The layered routes run under a ufunc buffer of one row, with the bits
+    numpy's default buffering gives, and hand the caller's size back."""
+
+    CASES = {
+        "e2": lambda: e2_shaped_case(rows=4)[:3],
+        "e1": e1_shaped_case,
+        "straddling": straddling_case,
+    }
+
+    @staticmethod
+    def default_buffering():
+        return mock.patch.object(
+            shapley_module, "_row_buffer", lambda row: contextlib.nullcontext()
+        )
+
+    @pytest.mark.parametrize("caller_buffer", [4096], indirect=True)
+    @pytest.mark.parametrize(
+        "row, size", [(8, None), (16, 16), (176, 176), (1100, 1104), (4090, None), (5000, None)]
+    )
+    def test_buffer_shrinks_to_one_row_in_multiples_of_16(self, row, size, caller_buffer):
+        with shapley_module._row_buffer(row):
+            assert np.getbufsize() == (size or caller_buffer)
+        assert np.getbufsize() == caller_buffer
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_exact_bits_are_default_buffering_bits(self, case):
+        clf, x, bg = self.CASES[case]()
+        scoped = exact_shap_stack(clf, x, bg)
+        with self.default_buffering():
+            np.testing.assert_array_equal(scoped, exact_shap_stack(clf, x, bg))
+
+    def test_kernel_bits_are_default_buffering_bits(self):
+        clf, x, bg, seeds = e2_shaped_case()
+        scoped = kernel_shap_stack(clf, x, bg, 256, seeds)
+        with self.default_buffering():
+            np.testing.assert_array_equal(scoped, kernel_shap_stack(clf, x, bg, 256, seeds))
+
+    def test_heads_run_under_one_row(self, caller_buffer):
+        # E2's dense games: 2^8 coalitions of (11 hidden, 16 references) per block
+        clf, x, bg, seeds = e2_shaped_case(rows=2)
+        model = RecordingHead(clf)
+        exact_shap_stack(model, x, bg)
+        assert model.sizes == [256] * 2 * 64
+        model.sizes.clear()
+        kernel_shap_stack(model, x, bg, 256, seeds)
+        assert model.sizes == [16 * 11] * 2
+        assert np.getbufsize() == caller_buffer
+
+    def test_caller_size_kept(self, caller_buffer):
+        clf, x, bg, seeds = e2_shaped_case(rows=3)
+        shap_matrix(clf, x, bg, "exact", 256, seeds)
+        assert np.getbufsize() == caller_buffer
+        shap_matrix(clf, x, bg, "kernel", 256, seeds)
+        assert np.getbufsize() == caller_buffer
+
+    @pytest.mark.parametrize("mode", ["exact", "kernel"])
+    def test_caller_size_kept_when_the_head_raises(self, mode, caller_buffer):
+        clf, x, bg, seeds = e2_shaped_case(rows=3)
+        model = RecordingHead(clf, fail_at=2)
+        with pytest.raises(RuntimeError, match="head failed"):
+            shap_matrix(model, x, bg, mode, 256, seeds)
+        assert model.sizes == [256 if mode == "exact" else 176] * 2
+        assert np.getbufsize() == caller_buffer
 
 
 class TestKernel:
