@@ -24,6 +24,13 @@ of `SHAP_MODES` to one of two independent estimators:
   lists the reduced games of every row, each game is evaluated by the
   evaluator of the model's kind, and one `np.add.at` scatters them into
   their rows, so each row gets the attributions it gets alone, bit for bit.
+  Because of that, a stack whose work (the sum over (row, reference) pairs
+  of 2^live, the model rows it runs) reaches _FORK_ROWS is split on Linux
+  into row shares of about equal work, one per CPU the process may run on,
+  and every share after the first is scored in a forked child; every row
+  keeps its bits. The split is automatic and has no option. It forks
+  rather than spawns because a fresh interpreter takes longer to import
+  numpy than a whole split takes to score (`_in_shares`).
 * "kernel" (`kernel_shap_stack`, whose one-row call is
   `kernel_shap_matrix`) solves the weighted least-squares system with the
   Shapley kernel weight (n-1) / (C(n,|z|) |z| (n-|z|)), with the empty and
@@ -49,6 +56,10 @@ import contextlib
 import functools
 import itertools
 import math
+import os
+import pickle
+import signal
+import threading
 from dataclasses import dataclass
 from typing import Callable, Protocol
 
@@ -105,6 +116,14 @@ _CHUNK_ELEMENTS = 1 << 16
 # cap left peak RSS 0.4 MB lower than the full cap, for ~1 ms more per
 # scored split (8.4 against 7.5 ms) on a 2-core Xeon VM.
 _PACK_ELEMENTS = _CHUNK_ELEMENTS >> 2
+# Work, in model rows, from which an exact stack is split over processes. On
+# a 2-core Xeon VM a fork plus its reap takes ~3 ms (2.5-3.7) in a 40-60 MB
+# process and a forked call takes ~0.5k more minor page faults in the parent
+# than a serial one, while a dense model row costs ~33 ns (10 E2 rows, 2.6M
+# model rows, in ~86 ms): a stack of 2^20 rows (~35 ms) saves several times
+# what its child costs. E1's scoring stacks (~16.8k rows) and every one-row
+# call stay in one process; E2's test split (10 rows of 16 * 2^14) is split.
+_FORK_ROWS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -371,8 +390,130 @@ def _check_inputs(x: np.ndarray, bg: BackgroundSet, stacked: bool = False) -> np
     return x
 
 
+def _fork(score: Callable[[np.ndarray], np.ndarray], rows: np.ndarray) -> list:
+    """[pid, read end] of a child sending back pickled (ok, score(rows) or its error).
+
+    [0, None] when the pipe or the fork fails. The child inherits `rows`
+    and runs only `score` on them; it leaves through `os._exit`, so nothing
+    of the parent (buffers, atexit handlers, test fixtures) runs twice.
+    """
+    try:
+        read, write = os.pipe()
+    except OSError:
+        return [0, None]
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        return [0, None]
+    if pid:
+        os.close(write)
+        return [pid, open(read, "rb")]
+    status = 1
+    try:
+        os.close(read)
+        try:
+            result = (True, score(rows))
+        except BaseException as error:  # the parent re-raises it
+            result = (False, error)
+        with open(write, "wb") as pipe:
+            pipe.write(pickle.dumps(result, pickle.HIGHEST_PROTOCOL))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _receive(child: list):
+    """The (ok, value) a child sent, once reaped; None if it sent nothing whole."""
+    pid, pipe = child
+    if not pid:
+        return None
+    payload = pipe.read()
+    _, status = os.waitpid(pid, 0)
+    child[0] = 0
+    return pickle.loads(payload) if os.waitstatus_to_exitcode(status) == 0 else None
+
+
+def _in_shares(
+    score: Callable[[np.ndarray], np.ndarray], x: np.ndarray, work: np.ndarray
+) -> np.ndarray:
+    """score(x), row shares of it scored in forked processes when that pays.
+
+    `score` must give each row the same bits whatever rows it is called
+    with. `work[i]` is row i's cost in model rows. With two or more rows, a
+    total of at least _FORK_ROWS, k >= 2 CPUs in this process's affinity
+    set (Linux only) and no other Python thread alive, the rows are cut
+    into min(k, rows) contiguous shares of about equal work; a child is
+    forked for each share after the first while this process scores the
+    first, and the shares are joined in row order. A child's exception is
+    re-raised here. A share whose fork fails, or whose child exits without
+    sending a whole result, is scored here. Otherwise score(x) runs here.
+
+    Fork, not spawn: a fresh interpreter importing numpy and this package
+    takes 120-180 ms on a 2-core Xeon VM, more than a whole E2 `eval`, while
+    a forked child starts in ~3 ms with the arrays in place.
+    """
+    total = int(work.sum())
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    count = min(cpus, len(x))
+    if count < 2 or total < _FORK_ROWS or threading.active_count() > 1:
+        return score(x)
+    # a row joins the share its middle unit of work falls in
+    middles = np.cumsum(work) - work / 2
+    cuts = np.searchsorted(middles, total * np.arange(1, count) / count)
+    cuts = np.unique(np.clip(cuts, 1, len(x) - 1)).tolist()
+    shares = [x[start:stop] for start, stop in zip([0, *cuts], [*cuts, len(x)])]
+    children = []  # [pid, read end] per later share; pid 0 once reaped or never forked
+    try:
+        for rows in shares[1:]:
+            children.append(_fork(score, rows))
+        parts = [score(shares[0])]
+        for rows, child in zip(shares[1:], children):
+            ok, value = _receive(child) or (True, score(rows))
+            if not ok:
+                raise value
+            parts.append(value)
+    except BaseException:
+        for pid, _ in children:
+            if pid:
+                os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, pipe in children:
+            if pipe:
+                pipe.close()
+            if pid:
+                os.waitpid(pid, 0)
+    return np.concatenate(parts)
+
+
 def exact_shap_stack(model: Model, x: np.ndarray, bg: BackgroundSet) -> np.ndarray:
     """Exact attributions of a stack of descriptors (N, n); (N, m, n).
+
+    Each row gets the attributions `exact_shap_matrix` gives it alone, bit
+    for bit (`_exact_rows`), so a stack can be scored in row shares: when
+    its work, the sum over (row, reference) pairs of 2^(live features),
+    reaches _FORK_ROWS model rows and the process may run on two or more
+    CPUs, the rows are split over forked processes (`_in_shares`), on Linux
+    only. The split is automatic and has no option, and every row's bits
+    are the same either way. Forked children start with the arrays in
+    place, where spawned ones would first import numpy.
+    """
+    x = _check_inputs(x, bg, stacked=True)
+    n = x.shape[1]
+    if n > EXACT_MAX_FEATURES:
+        raise ValidationError(
+            f"exact enumeration refuses n={n} > {EXACT_MAX_FEATURES} features; "
+            "use the kernel mode (kernel_shap_matrix) instead"
+        )
+    live = (x[:, None, :] != bg.vectors).sum(axis=2)  # (N, B) live counts
+    work = np.where(live > 0, 1 << live, 0).sum(axis=1)
+    return _in_shares(functools.partial(_exact_rows, model, bg=bg), x, work)
+
+
+def _exact_rows(model: Model, x: np.ndarray, bg: BackgroundSet) -> np.ndarray:
+    """`exact_shap_stack` of checked descriptors, in this process.
 
     The background-averaged game is the mean of its single-reference
     games, and Shapley values are linear in the game. In the game of one
@@ -392,13 +533,7 @@ def exact_shap_stack(model: Model, x: np.ndarray, bg: BackgroundSet) -> np.ndarr
     background, into its row in key order, so each row gets the
     attributions `exact_shap_matrix` gives it alone, bit for bit.
     """
-    x = _check_inputs(x, bg, stacked=True)
     count, n = x.shape
-    if n > EXACT_MAX_FEATURES:
-        raise ValidationError(
-            f"exact enumeration refuses n={n} > {EXACT_MAX_FEATURES} features; "
-            "use the kernel mode (kernel_shap_matrix) instead"
-        )
     bits = 1 << np.arange(n - 1, -1, -1)
     codes = (x[:, None, :] != bg.vectors) @ bits  # (N, B) live patterns
     keys, game, sizes = np.unique(

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -81,3 +83,14 @@ def facade_fixture(monumai):
         }
     )
     return {"v": v, "shap_values": shap_values, "expected_edges": expected_edges}
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process behind, running or unreaped."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail("test left a child process " + ("running" if pid == 0 else f"{pid} unreaped"))

@@ -6,8 +6,11 @@ against the exact enumerator.
 """
 
 import contextlib
+import errno
 import itertools
 import math
+import os
+import threading
 from unittest import mock
 
 import numpy as np
@@ -842,6 +845,179 @@ class TestRowBuffer:
             shap_matrix(model, x, bg, mode, 256, seeds)
         assert model.sizes == [256 if mode == "exact" else 176] * 2
         assert np.getbufsize() == caller_buffer
+
+
+FORK_ROWS = shapley_module._FORK_ROWS
+
+
+def stack_work(x, bg):
+    """Model rows of an exact stack: 2^live over (row, reference) pairs with a live feature."""
+    live = (x[:, None, :] != bg.vectors).sum(axis=2)
+    return int(sum(2**int(count) for count in live.ravel() if count))
+
+
+def serial(model, x, bg):
+    return shapley_module._exact_rows(model, np.asarray(x, dtype=np.float64), bg)
+
+
+def uneven_case():
+    """One dense row ahead of seven sparse ones: nearly all the work is row 0."""
+    clf, x, bg = e1_shaped_case(rows=8, seed=12)
+    x[0] = np.random.default_rng(12).uniform(0.1, 2.0, size=x.shape[1])
+    return clf, x, bg
+
+
+class TestProcessSplit:
+    """Exact stacks split over forked processes keep every row's bits, and
+    every failure of a child or of the fork falls back or re-raises here."""
+
+    CASES = {
+        "e2": lambda: e2_shaped_case(rows=6)[:3],
+        "sparse": lambda: e1_shaped_case(rows=12, seed=5),
+        "straddling": straddling_case,
+        "uneven": uneven_case,
+    }
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """Every stack is split over two CPUs; the pids that forked, one entry per fork."""
+        made = []
+        fork = os.fork
+
+        def counted():
+            made.append(os.getpid())
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(shapley_module, "_FORK_ROWS", 0)
+        return made
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_forked_bits_are_serial_bits(self, case, cpus, forks, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        clf, x, bg = self.CASES[case]()
+        np.testing.assert_array_equal(exact_shap_stack(clf, x, bg), serial(clf, x, bg))
+        # the dense row of the uneven stack outweighs the rest: two shares on any CPU count
+        assert forks == [os.getpid()] * (1 if case == "uneven" else cpus - 1)
+
+    def test_cut_falls_by_work(self, forks, monkeypatch):
+        # by row count this process would score four rows; by work, the dense one alone
+        clf, x, bg = uneven_case()
+        expected, scored, exact_rows = serial(clf, x, bg), [], shapley_module._exact_rows
+
+        def recorded(model, rows, bg):
+            scored.append(len(rows))
+            return exact_rows(model, rows, bg)
+
+        monkeypatch.setattr(shapley_module, "_exact_rows", recorded)
+        np.testing.assert_array_equal(exact_shap_stack(clf, x, bg), expected)
+        assert scored == [1] and len(forks) == 1
+
+    def test_stack_of_the_constant_splits(self, forks, monkeypatch):
+        clf, x, bg = e1_shaped_case()
+        monkeypatch.setattr(shapley_module, "_FORK_ROWS", stack_work(x, bg))
+        np.testing.assert_array_equal(exact_shap_stack(clf, x, bg), serial(clf, x, bg))
+        assert len(forks) == 1
+
+    def test_mean_shap_ged_per_instance(self, monumai, forks, monkeypatch):
+        from xnesyl.alignment import DETECTION_THRESHOLD, mean_shap_ged
+
+        clf, x, bg, _ = e2_shaped_case(rows=4, seed=3)
+        ids = [f"i{k}" for k in range(4)]
+        args = (clf, x, ids, monumai, bg, DETECTION_THRESHOLD, "exact", 64, 0)
+        forked = mean_shap_ged(*args)
+        assert len(forks) == 1
+        monkeypatch.setattr(shapley_module, "_FORK_ROWS", 1 << 62)
+        assert forked == mean_shap_ged(*args)
+        assert len(forks) == 1
+
+    @staticmethod
+    def small_case():
+        clf, x, bg, _ = e2_shaped_case(rows=4, n=6, bg_rows=4, seed=13)
+        return clf, x, bg
+
+    def test_child_error_reraised(self, forks):
+        clf, x, bg = self.small_case()
+        x[3, 0] = 7.5  # the sentinel, in the child's share of rows 2 and 3
+
+        def model(rows):
+            if np.any(rows[:, 0] == 7.5):
+                raise NumericalError(f"sentinel row in process {os.getpid()}")
+            return clf.predict_proba(rows)
+
+        with pytest.raises(NumericalError, match=r"sentinel row in process \d+") as raised:
+            exact_shap_stack(model, x, bg)
+        assert int(str(raised.value).split()[-1]) != os.getpid()
+        assert len(forks) == 1
+
+    def test_failed_fork_scores_here(self, forks, monkeypatch):
+        clf, x, bg = self.small_case()
+
+        def refused():
+            forks.append(os.getpid())
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", refused)
+        np.testing.assert_array_equal(exact_shap_stack(clf, x, bg), serial(clf, x, bg))
+        assert len(forks) == 1
+
+    def test_child_exiting_without_result_scored_here(self, forks):
+        clf, x, bg = self.small_case()
+        parent = os.getpid()
+
+        def model(rows):
+            if os.getpid() != parent:
+                os._exit(1)
+            return clf.predict_proba(rows)
+
+        np.testing.assert_array_equal(exact_shap_stack(model, x, bg), serial(model, x, bg))
+        assert len(forks) == 1
+
+    @pytest.fixture
+    def no_fork(self, monkeypatch):
+        """Forking fails the test; the stack would be split on two CPUs."""
+
+        def refused():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", refused)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(shapley_module, "_FORK_ROWS", 0)
+
+    def test_one_row_not_split(self, no_fork):
+        clf, x, bg = self.small_case()
+        np.testing.assert_array_equal(exact_shap_stack(clf, x[1:2], bg), serial(clf, x[1:2], bg))
+
+    def test_one_cpu_not_split(self, no_fork, monkeypatch):
+        clf, x, bg = self.small_case()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1})
+        np.testing.assert_array_equal(exact_shap_stack(clf, x, bg), serial(clf, x, bg))
+
+    def test_no_affinity_call_not_split(self, no_fork, monkeypatch):
+        clf, x, bg = self.small_case()
+        monkeypatch.delattr(os, "sched_getaffinity")
+        np.testing.assert_array_equal(exact_shap_stack(clf, x, bg), serial(clf, x, bg))
+
+    def test_little_work_not_split(self, no_fork, monkeypatch):
+        # E1's scoring stacks stay below the constant
+        clf, x, bg = e1_shaped_case()
+        assert stack_work(x, bg) < FORK_ROWS
+        monkeypatch.setattr(shapley_module, "_FORK_ROWS", stack_work(x, bg) + 1)
+        np.testing.assert_array_equal(exact_shap_stack(clf, x, bg), serial(clf, x, bg))
+
+    def test_live_thread_not_split(self, no_fork):
+        clf, x, bg = self.small_case()
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(30,))
+        thread.start()
+        try:
+            np.testing.assert_array_equal(exact_shap_stack(clf, x, bg), serial(clf, x, bg))
+        finally:
+            release.set()
+            thread.join(timeout=30)
+        assert not thread.is_alive()
 
 
 class TestKernel:
