@@ -173,24 +173,26 @@ def region_weights(
     shap_rows: np.ndarray,
     kg_rows: np.ndarray,
     v: np.ndarray,
-    predicted_parts: list[np.ndarray],
+    predicted: np.ndarray,
+    counts: np.ndarray,
     scheme: WeightScheme,
     v_threshold: float = FEATURE_THRESHOLD,
-) -> list[np.ndarray]:
-    """Per-region loss multipliers of a stack of N instances, one array each.
+) -> np.ndarray:
+    """Per-region loss multipliers (R,) of a stack of N instances' packed regions.
 
     Row i of `shap_rows`, `kg_rows` and `v` (each (N, n)) belongs to
     instance i: its attributions and knowledge-graph row for its
-    ground-truth object class, and its descriptor. Region-level schemes
-    weight each region by the alpha of its *predicted* part class;
-    instance-level schemes broadcast the instance alpha (`alpha_instance`)
-    to every region.
+    ground-truth object class, and its descriptor. `predicted` (R,) holds
+    each region's predicted part class, instance by instance, `counts[i]`
+    regions for instance i, as the rows of a `PackedSplit`; the result
+    lines up with it. Region-level schemes weight each region by the alpha
+    of its *predicted* part class; instance-level schemes repeat the
+    instance alpha (`alpha_instance`) over its regions.
     """
     if scheme.instance_level:
-        alpha = alpha_instance(shap_rows, kg_rows, v, scheme, v_threshold)
-        return [np.full(len(parts), top) for top, parts in zip(alpha, predicted_parts)]
+        return np.repeat(alpha_instance(shap_rows, kg_rows, v, scheme, v_threshold), counts)
     alpha = alpha_bbox(misattribution(shap_rows, kg_rows, v, v_threshold), scheme)
-    return [row[np.asarray(parts)] for row, parts in zip(alpha, predicted_parts)]
+    return alpha[np.repeat(np.arange(len(counts)), counts), predicted]
 
 
 def shap_ged(sag: SAG, kg: KnowledgeGraph) -> int:

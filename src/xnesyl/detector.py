@@ -225,22 +225,18 @@ def aggregate_retina(ds: DetectionSet) -> np.ndarray:
     return aggregate(ds, "retina")
 
 
-def _multipliers(split: PackedSplit, region_weights: list | None) -> np.ndarray:
+def _multipliers(split: PackedSplit, region_weights: np.ndarray | None) -> np.ndarray:
     """Checked per-region loss multipliers (R,); all ones when `region_weights` is None."""
+    regions = split.features.shape[0]
     if region_weights is None:
-        return np.ones(split.features.shape[0])
-    if len(region_weights) != len(split):
-        raise ValidationError(f"{len(region_weights)} weight arrays for {len(split)} instances")
-    arrays = [np.asarray(w, dtype=np.float64) for w in region_weights]
-    for inst, w in zip(split, arrays):
-        if w.shape != (len(inst.regions),):
-            got = w.shape[0] if w.ndim == 1 else "?"
-            raise ValidationError(
-                f"instance {inst.id!r} has {len(inst.regions)} regions but {got} weights"
-            )
-    weights = np.concatenate(arrays)
+        return np.ones(regions)
+    weights = np.asarray(region_weights, dtype=np.float64)
+    if weights.shape != (regions,):
+        got = weights.shape[0] if weights.ndim == 1 else weights.shape
+        raise ValidationError(f"{got} region weights for {regions} regions")
     if np.any(weights < 0):
-        inst = next(i for i, w in zip(split, arrays) if np.any(w < 0))
+        owner = np.searchsorted(np.cumsum(split.counts), np.argmax(weights < 0), side="right")
+        inst = split.instances[owner]
         raise ValidationError(f"instance {inst.id!r}: region weights must be non-negative")
     return weights
 
@@ -271,9 +267,8 @@ def weighted_roi_loss(
     Unit weights reproduce the unweighted loss bit for bit.
     """
     split = PackedSplit.pack([inst], det.part_classes)
-    multipliers = _multipliers(split, None if weights is None else [weights])
     ((loss, grad_w, grad_b),) = _instance_terms(
-        det, split.features, split.labels, multipliers, split.counts
+        det, split.features, split.labels, _multipliers(split, weights), split.counts
     )
     return loss, (grad_w, grad_b)
 
@@ -281,17 +276,17 @@ def weighted_roi_loss(
 def train_detector_epoch(
     det: PartDetector,
     dataset: PackedSplit,
-    region_weights: list[np.ndarray] | None,
+    region_weights: np.ndarray | None,
     rng: np.random.Generator,
     learning_rate: float,
 ) -> tuple[PartDetector, float]:
     """One full pass of mini-batch gradient descent over the dataset.
 
-    `region_weights` holds each instance's per-region loss multipliers,
-    aligned with `dataset`, or is None for an unweighted pass. Batches of
-    BATCH_SIZE follow the dataset order shuffled by `rng`; with a fixed rng
-    state the pass is fully deterministic. Returns the updated detector
-    and the mean per-region loss observed during the pass.
+    `region_weights` (R,) holds one loss multiplier per row of `dataset`,
+    or is None for an unweighted pass. Batches of BATCH_SIZE follow the
+    dataset order shuffled by `rng`; with a fixed rng state the pass is
+    fully deterministic. Returns the updated detector and the mean
+    per-region loss observed during the pass.
 
     Checks run before the first batch. A batch is one forward pass and one gradient
     product per instance, bit-identical to a `weighted_roi_loss` call per instance.

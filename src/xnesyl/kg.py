@@ -147,10 +147,6 @@ def loads_kg(text: str) -> KnowledgeGraph:
         raise ValidationError("object_classes must be a list of strings")
     if not isinstance(parts, list) or not all(isinstance(p, str) for p in parts):
         raise ValidationError("part_classes must be a list of strings")
-    if not objects:
-        raise ValidationError("object_classes is empty")
-    if not parts:
-        raise ValidationError("part_classes is empty")
     if not isinstance(edges, list):
         raise ValidationError("typical_of must be a list of [part, object] pairs")
     pairs: list[tuple[str, str]] = []

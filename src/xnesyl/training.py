@@ -137,7 +137,7 @@ def _train(
     # packed once: every detector epoch and descriptor pass reads these arrays
     packed = PackedSplit.pack(train_split, kg.part_classes)
     det = PartDetector.create(kg, packed.features.shape[1])
-    weights: list[np.ndarray] | None = None  # the previous epoch's multipliers
+    weights: np.ndarray | None = None  # the previous epoch's multipliers
     per_epoch: list[dict] = []
     for epoch in range(1, cfg.epochs_det + 1):
         det, det_loss = train_detector_epoch(
@@ -174,12 +174,12 @@ def _train(
                 shap_values[np.arange(len(packed)), y_train],
                 kg_matrix[y_train],
                 x_train,
-                np.split(predicted, np.cumsum(packed.counts)[:-1]),
+                predicted,
+                packed.counts,
                 cfg.scheme,
                 cfg.v_threshold,
             )
-            all_alphas = np.concatenate(weights)
-            alpha = {"alpha_mean": float(all_alphas.mean()), "alpha_max": float(all_alphas.max())}
+            alpha = {"alpha_mean": float(weights.mean()), "alpha_max": float(weights.max())}
         per_epoch.append({"epoch": epoch, "det_loss": det_loss, **alpha})
     return evaluate(RunArtifacts(det, clf, background, cfg, per_epoch), test_split, kg)
 

@@ -234,8 +234,8 @@ def test_criterion_6_neutrality(monkeypatch):
         background_size=12, shap_mode="kernel", shap_samples=64,
     )
 
-    def unit_weights(shap_rows, kg_rows, v, predicted_parts, scheme, v_threshold=0.0):
-        return [np.ones(len(parts)) for parts in predicted_parts]
+    def unit_weights(shap_rows, kg_rows, v, predicted, counts, scheme, v_threshold=0.0):
+        return np.ones(len(predicted))
 
     monkeypatch.setattr(training_module, "region_weights", unit_weights)
     weighted = train_shap_backprop(

@@ -155,8 +155,8 @@ class TestRegionWeights:
         shap_row = np.array([0.1, -0.2, 0.3])
         kg_row = np.array([1.0, -1.0, 1.0])
         v = np.array([0.5, 0.5, 0.5])
-        [weights] = region_weights(
-            shap_row[None], kg_row[None], v[None], [np.array([0, 1, 2, 0])], scheme
+        weights = region_weights(
+            shap_row[None], kg_row[None], v[None], np.array([0, 1, 2, 0]), np.array([4]), scheme
         )
         np.testing.assert_array_equal(weights, np.ones(4))
 
@@ -167,8 +167,8 @@ class TestRegionWeights:
         shap_row = np.array([0.1, 0.4, -0.2])
         kg_row = np.array([1.0, -1.0, -1.0])
         v = np.array([0.5, 0.5, 0.5])
-        [weights] = region_weights(
-            shap_row[None], kg_row[None], v[None], [np.array([1, 0, 1])], scheme
+        weights = region_weights(
+            shap_row[None], kg_row[None], v[None], np.array([1, 0, 1]), np.array([3]), scheme
         )
         np.testing.assert_allclose(weights, [1.4, 1.0, 1.4])
 
@@ -177,8 +177,8 @@ class TestRegionWeights:
         shap_row = np.array([0.1, 0.4, -0.2])
         kg_row = np.array([1.0, -1.0, -1.0])
         v = np.array([0.5, 0.5, 0.5])
-        [weights] = region_weights(
-            shap_row[None], kg_row[None], v[None], [np.array([0, 2, 2, 1])], scheme
+        weights = region_weights(
+            shap_row[None], kg_row[None], v[None], np.array([0, 2, 2, 1]), np.array([4]), scheme
         )
         np.testing.assert_allclose(weights, [1.4, 1.4, 1.4, 1.4])
 
@@ -194,8 +194,12 @@ class TestRegionWeights:
         kg_rows = rng.choice([-1.0, 1.0], size=(count, n))
         v = rng.choice([0.0, 0.2, 0.7, 1.5], size=(count, n))
         predicted = [rng.integers(0, n, size=rng.integers(1, 9)) for _ in range(count)]
-        stacked = region_weights(shap_rows, kg_rows, v, predicted, scheme, v_threshold)
-        assert len(stacked) == count
+        counts = np.array([len(parts) for parts in predicted])
+        stacked = region_weights(
+            shap_rows, kg_rows, v, np.concatenate(predicted), counts, scheme, v_threshold
+        )
+        assert stacked.shape == (counts.sum(),)
+        stops = np.cumsum(counts)
         for i, parts in enumerate(predicted):
             if scheme.instance_level:
                 alpha = alpha_instance(shap_rows[i], kg_rows[i], v[i], scheme, v_threshold)
@@ -203,10 +207,10 @@ class TestRegionWeights:
             else:
                 beta = misattribution(shap_rows[i], kg_rows[i], v[i], v_threshold)
                 expected = np.asarray(alpha_bbox(beta, scheme))[parts]
-            np.testing.assert_array_equal(stacked[i], expected)
-            [alone] = region_weights(
-                shap_rows[i : i + 1], kg_rows[i : i + 1], v[i : i + 1], [parts], scheme,
-                v_threshold,
+            np.testing.assert_array_equal(stacked[stops[i] - counts[i] : stops[i]], expected)
+            alone = region_weights(
+                shap_rows[i : i + 1], kg_rows[i : i + 1], v[i : i + 1], parts, counts[i : i + 1],
+                scheme, v_threshold,
             )
             np.testing.assert_array_equal(alone, expected)
 

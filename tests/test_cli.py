@@ -7,6 +7,7 @@ import math
 import re
 import shutil
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,7 +53,7 @@ class TestGen:
         args = ["gen", "--kg", kg_path, "--count", "30", "--seed", "9"]
         assert main(args + ["--out", out_a]) == 0
         assert main(args + ["--out", out_b]) == 0
-        assert open(out_a).read() == open(out_b).read()
+        assert Path(out_a).read_text() == Path(out_b).read_text()
 
     def test_emitted_file_is_readable(self, run_dir):
         instances = read_dataset(run_dir["data"], monumai_kg())
@@ -64,6 +65,23 @@ class TestGen:
             "--count", "5", "--regions", "four",
         ])
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "objects, parts, message",
+        [
+            ([], ["arch"], "need at least 2 object classes, got 0"),
+            (["Gothic", "Baroque"], [], "need at least 1 part class, got 0"),
+        ],
+        ids=["objects", "parts"],
+    )
+    def test_empty_class_list_exits_3(self, tmp_path, capsys, objects, parts, message):
+        kg = tmp_path / "kg.json"
+        doc = {"object_classes": objects, "part_classes": parts, "typical_of": []}
+        kg.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        code = main(["gen", "--kg", str(kg), "--out", str(tmp_path / "x.jsonl"), "--count", "5"])
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_missing_kg_file(self, tmp_path):
         code = main([
@@ -329,7 +347,7 @@ class TestSavedBackground:
         kg = monumai_kg()
         train_ids = {inst.id for inst in split_dataset(read_dataset(run_dir["data"], kg))[0]}
         lines = []
-        for line in open(run_dir["data"], encoding="utf-8"):
+        for line in Path(run_dir["data"]).read_text(encoding="utf-8").splitlines():
             doc = json.loads(line)
             if doc["id"] in train_ids:
                 for region in doc["regions"]:
@@ -520,7 +538,7 @@ class TestExplainReadsItsOwnLine:
     @staticmethod
     def _edited(run_dir, tmp_path, lineno, edit):
         """The run's dataset with `edit` applied to the raw text or the document of line `lineno`."""
-        lines = open(run_dir["data"], encoding="utf-8").read().splitlines()
+        lines = Path(run_dir["data"]).read_text(encoding="utf-8").splitlines()
         if callable(edit):
             doc = json.loads(lines[lineno - 1])
             edit(doc)
@@ -542,7 +560,7 @@ class TestExplainReadsItsOwnLine:
 
     @pytest.mark.parametrize("edit", sorted(EDITS))
     def test_ignores_another_lines_instance(self, kg_path, run_dir, tmp_path, edit):
-        inst_id = json.loads(open(run_dir["data"]).readlines()[-1])["id"]
+        inst_id = json.loads(Path(run_dir["data"]).read_text().splitlines()[-1])["id"]
         assert self._explain(kg_path, run_dir, run_dir["data"], inst_id, tmp_path / "a") == 0
         edited = self._edited(run_dir, tmp_path, 2, self.EDITS[edit])
         with pytest.raises(ValidationError):
@@ -552,7 +570,7 @@ class TestExplainReadsItsOwnLine:
 
     @pytest.mark.parametrize("edit", sorted(EDITS))
     def test_own_malformed_line_exits_3(self, kg_path, run_dir, tmp_path, capsys, edit):
-        inst_id = json.loads(open(run_dir["data"]).readlines()[4])["id"]
+        inst_id = json.loads(Path(run_dir["data"]).read_text().splitlines()[4])["id"]
         edited = self._edited(run_dir, tmp_path, 5, self.EDITS[edit])
         capsys.readouterr()
         assert self._explain(kg_path, run_dir, edited, inst_id, tmp_path / "x") == 3
@@ -572,7 +590,7 @@ class TestExplainReadsItsOwnLine:
     def test_any_line_without_a_fresh_id_exits_3(
         self, kg_path, run_dir, tmp_path, capsys, line, message
     ):
-        lines = open(run_dir["data"], encoding="utf-8").read().splitlines()
+        lines = Path(run_dir["data"]).read_text(encoding="utf-8").splitlines()
         inst_id = json.loads(lines[-1])["id"]
         assert json.loads(lines[0])["id"] == "inst-000000" != inst_id
         edited = self._edited(run_dir, tmp_path, 6, line)
@@ -585,7 +603,7 @@ class TestExplainReadsItsOwnLine:
 def _line_of_split(run_dir, split, which=0):
     """The 1-based line of the `which`-th instance (in file order) of `split`."""
     ids = {inst.id for inst in split_dataset(read_dataset(run_dir["data"], monumai_kg()))[split]}
-    lines = open(run_dir["data"], encoding="utf-8").read().splitlines()
+    lines = Path(run_dir["data"]).read_text(encoding="utf-8").splitlines()
     return [i + 1 for i, line in enumerate(lines) if json.loads(line)["id"] in ids][which]
 
 
@@ -649,7 +667,7 @@ class TestFeatureDimAgainstCheckpoint:
 
     @staticmethod
     def _widened(run_dir, tmp_path, linenos):
-        lines = open(run_dir["data"], encoding="utf-8").read().splitlines()
+        lines = Path(run_dir["data"]).read_text(encoding="utf-8").splitlines()
         for lineno in linenos:
             doc = json.loads(lines[lineno - 1])
             for region in doc["regions"]:
@@ -684,7 +702,7 @@ class TestFeatureDimAgainstCheckpoint:
     def test_wider_file_names_one_line_for_eval_and_explain(
         self, kg_path, run_dir, tmp_path, capsys, detect_calls
     ):
-        lines = len(open(run_dir["data"], encoding="utf-8").read().splitlines())
+        lines = len(Path(run_dir["data"]).read_text(encoding="utf-8").splitlines())
         data, ids = self._widened(run_dir, tmp_path, range(1, lines + 1))
         # the first test line in file order: the one eval reports
         lineno = _line_of_split(run_dir, 2)
@@ -1007,7 +1025,7 @@ class TestSeedFallback:
             "gen", "--kg", kg_path, "--out", out_flag, "--count", "10",
             "--seed", "77",
         ]) == 0
-        assert open(out_env).read() == open(out_flag).read()
+        assert Path(out_env).read_text() == Path(out_flag).read_text()
 
     def test_invalid_env_seed(self, kg_path, tmp_path, monkeypatch):
         monkeypatch.setenv("XNESYL_SEED", "not-a-number")

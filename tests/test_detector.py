@@ -1,5 +1,7 @@
 """Part detector: probabilities, aggregation rules, weighted loss, training."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -68,9 +70,16 @@ def reference_descriptor(det, inst, mode):
     return probs.sum(axis=0), best
 
 
+def instance_rows(dataset):
+    """Each instance's slice of the packed split's rows, in dataset order."""
+    stops = np.cumsum([len(inst.regions) for inst in dataset])
+    return [slice(stop - len(inst.regions), stop) for inst, stop in zip(dataset, stops)]
+
+
 def reference_epoch(det, dataset, region_weights, rng, learning_rate):
     """The epoch as an instance-by-instance loop over the shuffled batches."""
-    weights = [None] * len(dataset) if region_weights is None else region_weights
+    rows = instance_rows(dataset)
+    weights = [None if region_weights is None else region_weights[r] for r in rows]
     order = rng.permutation(len(dataset))
     updated = det.copy()
     total_loss, total_regions = 0.0, 0
@@ -342,8 +351,8 @@ class TestTrainEpoch:
         cfg = GeneratorConfig(seed=31, noise_rate=0.2)
         data = generate_dataset(monumai, cfg, 60)
         det = PartDetector.create(monumai, cfg.feature_dim)
-        ones = [np.ones(len(inst.regions)) for inst in data]
         data = PackedSplit.pack(data, det.part_classes)
+        ones = np.ones(len(data.labels))
         det_a, loss_a = train_detector_epoch(
             det, data, None, rng=np.random.default_rng(0), learning_rate=0.5
         )
@@ -369,14 +378,6 @@ class TestTrainEpoch:
         with pytest.raises(ValidationError, match="other part classes than the detector"):
             train_detector_epoch(det, data, None, rng=np.random.default_rng(0), learning_rate=0.5)
 
-    def test_misaligned_weight_list_rejected(self, monumai):
-        data = generate_dataset(monumai, GeneratorConfig(seed=32), 5)
-        det = PartDetector.create(monumai, GeneratorConfig.feature_dim)
-        ones = [np.ones(len(inst.regions)) for inst in data[:-1]]
-        data = PackedSplit.pack(data, det.part_classes)
-        with pytest.raises(ValidationError, match="4 weight arrays for 5 instances"):
-            train_detector_epoch(det, data, ones, rng=np.random.default_rng(0), learning_rate=0.5)
-
     # 1:1 is all one-region rows; 8:24 and 1:40 take numpy's pairwise sums
     @pytest.mark.parametrize("regions", [(1, 1), (1, 3), (2, 6), (8, 24), (1, 40)])
     @pytest.mark.parametrize("count", [1, BATCH_SIZE, BATCH_SIZE + 1])
@@ -401,18 +402,19 @@ class TestTrainEpoch:
             assert loss == expected_loss
             np.testing.assert_array_equal(det.weights, expected.weights)
             np.testing.assert_array_equal(det.bias, expected.bias)
-            for inst, w in zip(data, weights or [None] * count):
+            for inst, rows in zip(data, instance_rows(data)):
+                w = None if weights is None else weights[rows]
                 got, (gw, gb) = weighted_roi_loss(det, inst, w)
                 want, want_w, want_b = reference_roi_loss(det, inst, w)
                 assert got == want
                 np.testing.assert_array_equal(gw, want_w)
                 np.testing.assert_array_equal(gb, want_b)
             if weighted:  # about a third of the multipliers are zero
-                weights = [
+                weights = np.concatenate([
                     draw.uniform(0.5, 3.0, len(inst.regions))
                     * (draw.random(len(inst.regions)) > 0.3)
                     for inst in data
-                ]
+                ])
 
     def _reject(self, monumai, data, weights, match):
         det = PartDetector.create(monumai, GeneratorConfig.feature_dim)
@@ -424,18 +426,18 @@ class TestTrainEpoch:
         # nothing was drawn, so no batch was formed
         assert rng.bit_generator.state == state
 
-    def test_wrong_weight_length_names_instance(self, monumai):
+    def test_weight_count_must_match_regions(self, monumai):
         data = generate_dataset(monumai, GeneratorConfig(seed=33), 40)
-        weights = [np.ones(len(inst.regions)) for inst in data]
-        m = len(data[37].regions)
-        weights[37] = np.ones(m - 1)
-        match = f"instance '{data[37].id}' has {m} regions but {m - 1} weights"
-        self._reject(monumai, data, weights, match)
+        regions = sum(len(inst.regions) for inst in data)
+        for shape, got in [((regions - 1,), regions - 1), ((regions + 1,), regions + 1),
+                           ((regions, 1), (regions, 1))]:
+            match = f"^{re.escape(str(got))} region weights for {regions} regions$"
+            self._reject(monumai, data, np.ones(shape), match)
 
     def test_negative_weight_names_instance(self, monumai):
         data = generate_dataset(monumai, GeneratorConfig(seed=34), 40)
-        weights = [np.ones(len(inst.regions)) for inst in data]
-        weights[35][-1] = -0.5
+        weights = np.ones(sum(len(inst.regions) for inst in data))
+        weights[instance_rows(data)[35].stop - 1] = -0.5
         self._reject(monumai, data, weights, f"instance '{data[35].id}'.*non-negative")
 
     def test_unknown_part_label_names_instance(self, monumai):

@@ -49,7 +49,10 @@ class TestLoad:
 
     def test_empty_class_list_rejected(self):
         doc = '{"object_classes": [], "part_classes": ["arch"], "typical_of": []}'
-        with pytest.raises(ValidationError, match="empty"):
+        with pytest.raises(ValidationError, match="^need at least 2 object classes, got 0$"):
+            loads_kg(doc)
+        doc = '{"object_classes": ["Gothic", "Baroque"], "part_classes": [], "typical_of": []}'
+        with pytest.raises(ValidationError, match="^need at least 1 part class, got 0$"):
             loads_kg(doc)
 
     def test_weighted_edge_rejected(self):

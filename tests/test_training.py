@@ -116,8 +116,8 @@ class TestShapBackprop:
         # same final classifier seed, same evaluation
         kg, splits = small_splits
 
-        def unit_weights(shap_rows, kg_rows, v, predicted_parts, scheme, v_threshold=0.0):
-            return [np.ones(len(parts)) for parts in predicted_parts]
+        def unit_weights(shap_rows, kg_rows, v, predicted, counts, scheme, v_threshold=0.0):
+            return np.ones(len(predicted))
 
         monkeypatch.setattr(training_module, "region_weights", unit_weights)
         cfg_sbp = TrainConfig(seed=9, scheme=WeightScheme("linear_instance"), **FAST)
