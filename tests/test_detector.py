@@ -426,6 +426,12 @@ class TestTrainEpoch:
         # nothing was drawn, so no batch was formed
         assert rng.bit_generator.state == state
 
+    def test_misaligned_weight_list_rejected(self, monumai):
+        data = generate_dataset(monumai, GeneratorConfig(seed=32), 5)
+        ones = np.ones(sum(len(inst.regions) for inst in data[:-1]))
+        regions = len(ones) + len(data[-1].regions)
+        self._reject(monumai, data, ones, f"^{len(ones)} region weights for {regions} regions$")
+
     def test_weight_count_must_match_regions(self, monumai):
         data = generate_dataset(monumai, GeneratorConfig(seed=33), 40)
         regions = sum(len(inst.regions) for inst in data)
