@@ -234,10 +234,14 @@ def _multipliers(split: PackedSplit, region_weights: np.ndarray | None) -> np.nd
     if weights.shape != (regions,):
         got = weights.shape[0] if weights.ndim == 1 else weights.shape
         raise ValidationError(f"{got} region weights for {regions} regions")
-    if np.any(weights < 0):
-        owner = np.searchsorted(np.cumsum(split.counts), np.argmax(weights < 0), side="right")
-        inst = split.instances[owner]
-        raise ValidationError(f"instance {inst.id!r}: region weights must be non-negative")
+    # a non-finite weight is an overflowed alpha, so divergence, not bad input
+    for error, rule, bad in (
+        (NumericalError, "finite", ~np.isfinite(weights)),
+        (ValidationError, "non-negative", weights < 0),
+    ):
+        if bad.any():
+            owner = np.searchsorted(np.cumsum(split.counts), np.argmax(bad), side="right")
+            raise error(f"instance {split.instances[owner].id!r}: region weights must be {rule}")
     return weights
 
 

@@ -1,5 +1,10 @@
 """Exception types shared across the package, and the checked JSON readers.
 
+Every JSON document the package reads (the knowledge graph, the detector,
+classifier and background checkpoints, metrics.json) is opened by
+read_json_object, so a file-level fault (missing, not UTF-8, malformed,
+not an object, a missing key) is one ValidationError that names the file.
+
 The CLI maps these onto distinct exit codes, so raising the right class
 matters: ValidationError for bad inputs (files, labels, flag values that
 pass parsing but fail semantic checks) and NumericalError for failures of
@@ -34,8 +39,12 @@ def read_json_object(
     if not p.exists():
         raise ValidationError(f"{what} not found: {p}")
     try:
-        doc = json.loads(p.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        text = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{p}: {what} is not UTF-8 text: {exc}") from exc
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
         raise ValidationError(f"{p}: malformed JSON in {what}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValidationError(f"{p}: {what} must be a JSON object")
@@ -51,7 +60,7 @@ def read_json_labels(path: str | Path, doc: dict, key: str) -> tuple[str, ...]:
     """`doc[key]` as a tuple of strings, else a ValidationError naming the file and key."""
     labels = doc[key]
     if not isinstance(labels, list) or not all(isinstance(label, str) for label in labels):
-        raise ValidationError(f"{path}: {key} is not a list of strings")
+        raise ValidationError(f"{Path(path)}: {key} is not a list of strings")
     return tuple(labels)
 
 
@@ -68,11 +77,11 @@ def read_json_array(
     except ValueError:  # ragged nesting
         values = None
     if values is None or values.dtype.kind not in "iuf":
-        raise ValidationError(f"{path}: {key} is not a numeric array")
+        raise ValidationError(f"{Path(path)}: {key} is not a numeric array")
     if values.ndim != len(shape) or any(
         want is not None and got != want for got, want in zip(values.shape, shape)
     ):
-        raise ValidationError(f"{path}: {key} has shape {values.shape}, expected {shape}")
+        raise ValidationError(f"{Path(path)}: {key} has shape {values.shape}, expected {shape}")
     if not np.all(np.isfinite(values)):
-        raise ValidationError(f"{path}: {key} holds non-finite values")
+        raise ValidationError(f"{Path(path)}: {key} holds non-finite values")
     return values.astype(np.float64)

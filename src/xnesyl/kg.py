@@ -29,13 +29,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, read_json_labels, read_json_object
 
 __all__ = [
     "KnowledgeGraph",
     "DeterministicResult",
     "load_kg",
-    "loads_kg",
     "save_kg",
     "dumps_kg",
     "attribution_matrix",
@@ -129,24 +128,14 @@ def _validate(kg: KnowledgeGraph) -> None:
             raise ValidationError(f"typical-of edge names undeclared object class {obj!r}")
 
 
-def loads_kg(text: str) -> KnowledgeGraph:
-    """Parse a knowledge graph document from a JSON string."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"knowledge graph document is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ValidationError("knowledge graph document must be a JSON object")
-    for key in ("object_classes", "part_classes", "typical_of"):
-        if key not in doc:
-            raise ValidationError(f"knowledge graph document missing key {key!r}")
-    objects = doc["object_classes"]
-    parts = doc["part_classes"]
+def load_kg(path: str | Path) -> KnowledgeGraph:
+    """Load and validate a knowledge graph from a JSON file."""
+    doc = read_json_object(
+        path, "knowledge graph file", None, ("object_classes", "part_classes", "typical_of")
+    )
+    objects = read_json_labels(path, doc, "object_classes")
+    parts = read_json_labels(path, doc, "part_classes")
     edges = doc["typical_of"]
-    if not isinstance(objects, list) or not all(isinstance(c, str) for c in objects):
-        raise ValidationError("object_classes must be a list of strings")
-    if not isinstance(parts, list) or not all(isinstance(p, str) for p in parts):
-        raise ValidationError("part_classes must be a list of strings")
     if not isinstance(edges, list):
         raise ValidationError("typical_of must be a list of [part, object] pairs")
     pairs: list[tuple[str, str]] = []
@@ -164,23 +153,11 @@ def loads_kg(text: str) -> KnowledgeGraph:
         if pair in pairs:
             raise ValidationError(f"duplicate typical-of edge {pair!r}")
         pairs.append(pair)
-    return KnowledgeGraph(tuple(objects), tuple(parts), frozenset(pairs))
-
-
-def load_kg(path: str | Path) -> KnowledgeGraph:
-    """Load and validate a knowledge graph from a JSON file."""
-    p = Path(path)
-    if not p.exists():
-        raise ValidationError(f"knowledge graph file not found: {p}")
-    try:
-        text = p.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"{p}: knowledge graph file is not UTF-8 text: {exc}") from exc
-    return loads_kg(text)
+    return KnowledgeGraph(objects, parts, frozenset(pairs))
 
 
 def dumps_kg(kg: KnowledgeGraph) -> str:
-    """Serialize to the document format; load_kg(dumps_kg(kg)) reproduces kg."""
+    """Serialize to the document format; load_kg reads save_kg's file back as kg."""
     doc = {
         "object_classes": list(kg.object_classes),
         "part_classes": list(kg.part_classes),
@@ -248,5 +225,5 @@ def deterministic_classify(kg: KnowledgeGraph, v: np.ndarray) -> DeterministicRe
 
 def monumai_kg() -> KnowledgeGraph:
     """The bundled monument-facade knowledge graph (4 styles, 14 elements)."""
-    text = resources.files("xnesyl.data").joinpath("monumai_kg.json").read_text("utf-8")
-    return loads_kg(text)
+    with resources.as_file(resources.files("xnesyl.data") / "monumai_kg.json") as path:
+        return load_kg(path)

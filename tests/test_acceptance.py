@@ -8,6 +8,7 @@ several minutes.
 
 import itertools
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ from xnesyl.shapley import (
     exact_shap_matrix,
     kernel_shap_matrix,
 )
-from xnesyl.training import TrainConfig, train_shap_backprop, train_standard
+from xnesyl.training import TrainConfig, evaluate, train_shap_backprop, train_standard
 
 # experiment configurations (criteria 7-9); dataset sizes and budgets per gate
 E1_GENERATOR = GeneratorConfig(
@@ -273,6 +274,24 @@ def test_criterion_7_experiment_e1(e1_run):
         ok,
         f"split {sizes}, accuracy {metrics['accuracy']:.3f} (>=0.90), "
         f"part macro {metrics['part_macro_accuracy']:.3f} (>=0.90), {elapsed:.0f}s (<120s)",
+    )
+
+
+def test_parameter_randomisation_sanity_check(e1_run):
+    # Adebayo et al. 2018: a freshly initialised classifier, scored with the
+    # trained run's detector and background, must align worse with the KG
+    kg, _, splits, artifacts, _ = e1_run
+    trained = artifacts.metrics["mean_shap_ged"]
+    fresh = [
+        evaluate(replace(artifacts, classifier=MLPClassifier.create(kg, seed=s)), splits[2], kg)
+        .metrics["mean_shap_ged"]
+        for s in (0, 1, 2)
+    ]
+    report(
+        "sanity parameter-randomisation",
+        all(ged > trained for ged in fresh),
+        f"trained mean GED {trained:.3f}, fresh classifiers "
+        + ", ".join(f"{ged:.3f}" for ged in fresh) + " (each above)",
     )
 
 

@@ -83,6 +83,27 @@ class TestGen:
         assert code == 3
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("{not json", "malformed JSON in knowledge graph file: "),
+            ("[1]", "knowledge graph file must be a JSON object\n"),
+            ('{"object_classes": ["A", "B"], "part_classes": ["a"]}',
+             "knowledge graph file lacks typical_of\n"),
+            ('{"object_classes": ["A", 1], "part_classes": ["a"], "typical_of": []}',
+             "object_classes is not a list of strings\n"),
+        ],
+        ids=["not-json", "list", "no-typical-of", "int-label"],
+    )
+    def test_kg_file_fault_names_the_file(self, tmp_path, capsys, text, message):
+        kg = tmp_path / "kg.json"
+        kg.write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        code = main(["gen", "--kg", str(kg), "--out", str(tmp_path / "x.jsonl"), "--count", "5"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {kg}: {message}") and len(err.splitlines()) == 1
+
     def test_missing_kg_file(self, tmp_path):
         code = main([
             "gen", "--kg", str(tmp_path / "nope.json"),
@@ -209,14 +230,23 @@ class TestMalformedDataset:
 
 
 class TestNonUtf8Input:
-    """A --data or --kg file that is not UTF-8 exits 3 with one line naming it."""
+    """A --data, --kg or checkpoint file that is not UTF-8 exits 3 with one line naming it."""
 
     @pytest.mark.parametrize(
         "command, bad",
-        [("gen", "kg")] + [(c, b) for c in ("train", "eval", "explain") for b in ("data", "kg")],
+        [("gen", "kg")]
+        + [(c, b) for c in ("train", "eval", "explain") for b in ("data", "kg")]
+        + [("eval", name) for name in ("metrics.json", "detector.json", "classifier.json")]
+        + [("explain", "background.json")],
     )
     def test_exits_3_naming_the_file(self, kg_path, run_dir, tmp_path, capsys, command, bad):
-        bad_path = tmp_path / "bad.json"
+        ckpt = run_dir["out"]
+        if bad.endswith(".json"):  # one file of a copied run directory
+            ckpt = tmp_path / "ckpt"
+            shutil.copytree(run_dir["out"], ckpt)
+            bad_path = ckpt / bad
+        else:
+            bad_path = tmp_path / "bad.json"
         bad_path.write_bytes(b'\xff\xfe{"id": 1}\n')
         kg = str(bad_path) if bad == "kg" else kg_path
         data = str(bad_path) if bad == "data" else run_dir["data"]
@@ -227,11 +257,11 @@ class TestNonUtf8Input:
                 "--epochs-det", "1", "--epochs-clf", "1",
             ],
             "eval": [
-                "eval", "--kg", kg, "--data", data, "--checkpoints", run_dir["out"],
+                "eval", "--kg", kg, "--data", data, "--checkpoints", str(ckpt),
                 "--out", str(tmp_path / "eval.json"),
             ],
             "explain": [
-                "explain", "--kg", kg, "--data", data, "--checkpoints", run_dir["out"],
+                "explain", "--kg", kg, "--data", data, "--checkpoints", str(ckpt),
                 "--instance-id", "inst-000000", "--out-dir", str(tmp_path / "x"),
             ],
         }[command]

@@ -416,11 +416,11 @@ class TestTrainEpoch:
                     for inst in data
                 ])
 
-    def _reject(self, monumai, data, weights, match):
+    def _reject(self, monumai, data, weights, match, error=ValidationError):
         det = PartDetector.create(monumai, GeneratorConfig.feature_dim)
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
-        with pytest.raises(ValidationError, match=match):
+        with pytest.raises(error, match=match):
             packed = PackedSplit.pack(data, det.part_classes)
             train_detector_epoch(det, packed, weights, rng=rng, learning_rate=0.5)
         # nothing was drawn, so no batch was formed
@@ -439,6 +439,15 @@ class TestTrainEpoch:
                            ((regions, 1), (regions, 1))]:
             match = f"^{re.escape(str(got))} region weights for {regions} regions$"
             self._reject(monumai, data, np.ones(shape), match)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weight_is_numerical_error(self, monumai, bad):
+        data = generate_dataset(monumai, GeneratorConfig(seed=34), 40)
+        weights = np.ones(sum(len(inst.regions) for inst in data))
+        weights[instance_rows(data)[12].start] = bad
+        weights[instance_rows(data)[30].start] = -0.5  # a later negative does not mask it
+        match = f"^instance '{data[12].id}': region weights must be finite$"
+        self._reject(monumai, data, weights, match, NumericalError)
 
     def test_negative_weight_names_instance(self, monumai):
         data = generate_dataset(monumai, GeneratorConfig(seed=34), 40)

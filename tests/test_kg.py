@@ -1,5 +1,7 @@
 """Knowledge graph loading, validation, matrix view, projection, baseline."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -11,9 +13,16 @@ from xnesyl.kg import (
     deterministic_classify,
     dumps_kg,
     load_kg,
-    loads_kg,
     project,
+    save_kg,
 )
+
+
+def load_text(tmp_path, text):
+    """load_kg on a file holding `text`."""
+    path = tmp_path / "kg.json"
+    path.write_text(text, encoding="utf-8")
+    return load_kg(path)
 
 
 class TestLoad:
@@ -22,54 +31,54 @@ class TestLoad:
         assert monumai.num_parts == 14
         assert len(monumai.typical_of) == 17
 
-    def test_undeclared_edge_endpoint(self):
+    def test_undeclared_edge_endpoint(self, tmp_path):
         doc = """{"object_classes": ["Gothic", "Baroque"],
                   "part_classes": ["column"],
                   "typical_of": [["arch", "Gothic"]]}"""
         with pytest.raises(ValidationError, match="arch"):
-            loads_kg(doc)
+            load_text(tmp_path, doc)
 
-    def test_single_object_class_rejected(self):
+    def test_single_object_class_rejected(self, tmp_path):
         doc = """{"object_classes": ["Gothic"], "part_classes": ["arch"],
                   "typical_of": [["arch", "Gothic"]]}"""
         with pytest.raises(ValidationError, match="2 object classes"):
-            loads_kg(doc)
+            load_text(tmp_path, doc)
 
-    def test_duplicate_label_rejected(self):
+    def test_duplicate_label_rejected(self, tmp_path):
         doc = """{"object_classes": ["Gothic", "Gothic"], "part_classes": ["arch"],
                   "typical_of": []}"""
         with pytest.raises(ValidationError, match="Gothic"):
-            loads_kg(doc)
+            load_text(tmp_path, doc)
 
-    def test_label_shared_between_lists_rejected(self):
+    def test_label_shared_between_lists_rejected(self, tmp_path):
         doc = """{"object_classes": ["Gothic", "arch"], "part_classes": ["arch"],
                   "typical_of": []}"""
         with pytest.raises(ValidationError, match="duplicate label"):
-            loads_kg(doc)
+            load_text(tmp_path, doc)
 
-    def test_empty_class_list_rejected(self):
+    def test_empty_class_list_rejected(self, tmp_path):
         doc = '{"object_classes": [], "part_classes": ["arch"], "typical_of": []}'
         with pytest.raises(ValidationError, match="^need at least 2 object classes, got 0$"):
-            loads_kg(doc)
+            load_text(tmp_path, doc)
         doc = '{"object_classes": ["Gothic", "Baroque"], "part_classes": [], "typical_of": []}'
         with pytest.raises(ValidationError, match="^need at least 1 part class, got 0$"):
-            loads_kg(doc)
+            load_text(tmp_path, doc)
 
-    def test_weighted_edge_rejected(self):
+    def test_weighted_edge_rejected(self, tmp_path):
         doc = """{"object_classes": ["Gothic", "Baroque"], "part_classes": ["arch"],
                   "typical_of": [["arch", "Gothic", 0.7]]}"""
         with pytest.raises(ValidationError, match="pair"):
-            loads_kg(doc)
+            load_text(tmp_path, doc)
 
-    def test_duplicate_edge_rejected(self):
+    def test_duplicate_edge_rejected(self, tmp_path):
         doc = """{"object_classes": ["Gothic", "Baroque"], "part_classes": ["arch"],
                   "typical_of": [["arch", "Gothic"], ["arch", "Gothic"]]}"""
         with pytest.raises(ValidationError, match="duplicate"):
-            loads_kg(doc)
+            load_text(tmp_path, doc)
 
     def test_round_trip(self, monumai, tmp_path):
         path = tmp_path / "kg.json"
-        path.write_text(dumps_kg(monumai), encoding="utf-8")
+        save_kg(monumai, path)
         assert load_kg(path) == monumai
 
     def test_non_utf8_file_names_the_file(self, monumai, tmp_path):
@@ -78,8 +87,25 @@ class TestLoad:
         with pytest.raises(ValidationError, match=r"kg\.json: knowledge graph file is not UTF-8"):
             load_kg(path)
 
-    def test_order_preserved(self, monumai):
-        reloaded = loads_kg(dumps_kg(monumai))
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[1]", "knowledge graph file must be a JSON object"),
+            ('{"object_classes": ["A", 1], "part_classes": ["a"], "typical_of": []}',
+             "object_classes is not a list of strings"),
+        ],
+        ids=["list", "int-label"],
+    )
+    def test_file_fault_spells_the_path_once(self, tmp_path, monkeypatch, text, message):
+        # "./kg.json" is named as "kg.json" by every check, not only the file-level ones
+        monkeypatch.chdir(tmp_path)
+        Path("kg.json").write_text(text, encoding="utf-8")
+        with pytest.raises(ValidationError, match=f"^kg\\.json: {message}$"):
+            load_kg("./kg.json")
+
+    def test_order_preserved(self, monumai, tmp_path):
+        save_kg(monumai, tmp_path / "kg.json")
+        reloaded = load_kg(tmp_path / "kg.json")
         assert reloaded.object_classes == monumai.object_classes
         assert reloaded.part_classes == monumai.part_classes
 
