@@ -40,7 +40,6 @@ __all__ = [
     "region_weights",
     "shap_ged",
     "mean_shap_ged",
-    "derive_seed",
     "instance_attribution",
     "sag_to_dot",
     "sag_to_json",
@@ -206,27 +205,9 @@ def shap_ged(sag: SAG, kg: KnowledgeGraph) -> int:
     return len(sag.edges ^ project(kg, set(sag.nodes)))
 
 
-def derive_seed(seed: int, *parts: int) -> int:
-    """Integer seed of the stream named by `parts` (a role tag, then indices).
-
-    The package's one seed derivation: training's classifier, background
-    and attribution seeds and the per-instance seeds of scoring and
-    `instance_attribution` (`_instance_seed`).
-    """
-    return int(np.random.SeedSequence([seed, *parts]).generate_state(1)[0])
-
-
-_TAG_INSTANCE = 0x6ED  # role tag of per-instance attribution seeds; frozen
-
-
-def _instance_seed(seed: int, index: int) -> int:
-    return derive_seed(seed, _TAG_INSTANCE, index)
-
-
 def instance_attribution(
     clf: MLPClassifier,
     v: np.ndarray,
-    index: int,
     kg: KnowledgeGraph,
     background: BackgroundSet,
     s: float,
@@ -234,17 +215,12 @@ def instance_attribution(
     num_coalition_samples: int,
     seed: int,
 ) -> tuple[np.ndarray, SAG]:
-    """Attributions and SAG of descriptor `v`, at `index` in its scored split.
+    """Attributions and SAG of descriptor `v`; `xnesyl explain`'s path.
 
-    The estimator seed is derived from `seed` and the index, so results do
-    not depend on evaluation order. This is `xnesyl explain`'s path;
-    `mean_shap_ged` scores the whole split as one stack with the same
-    per-index seeds, and each row of a stack gets the attributions it gets
-    alone, so an explained SAG is the one its distance was scored on.
+    Each row of a stack gets the attributions it gets alone, so with the seed
+    `streams.scoring_seeds` gives its index, a row explains as it was scored.
     """
-    values = shap_matrix(
-        clf, v, background, mode, num_coalition_samples, seed=_instance_seed(seed, index)
-    )
+    values = shap_matrix(clf, v, background, mode, num_coalition_samples, seed=seed)
     return values, build_sag(kg, v, values, s)
 
 
@@ -257,19 +233,18 @@ def mean_shap_ged(
     s: float,
     mode: str,
     num_coalition_samples: int,
-    seed: int,
+    seeds: list[int],
 ) -> tuple[float, dict[str, int]]:
     """Mean per-instance graph disagreement over a split.
 
     `x` holds the split's descriptors, one row per id in `ids`, scored in
-    one `shap_matrix` call. Returns (mean, per-instance distances keyed by
-    id).
+    one `shap_matrix` call with one attribution seed per row (`seeds`).
+    Returns (mean, per-instance distances keyed by id).
     """
     if not ids:
         raise ValidationError("cannot score an empty split")
     if len(ids) != len(x):
         raise ValidationError(f"{len(x)} descriptors for {len(ids)} instance ids")
-    seeds = [_instance_seed(seed, index) for index in range(len(ids))]
     values = shap_matrix(clf, x, background, mode, num_coalition_samples, seed=seeds)
     per_instance = {
         inst_id: shap_ged(build_sag(kg, v, row_values, s), kg)

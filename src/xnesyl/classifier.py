@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import streams
 from .detector import softmax
 from .errors import (
     NumericalError, ValidationError, read_json_array, read_json_labels, read_json_object,
@@ -44,7 +45,7 @@ class MLPClassifier:
 
     @classmethod
     def create(cls, kg: KnowledgeGraph, seed: int) -> "MLPClassifier":
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC1F]))
+        rng = streams.rng(seed, streams.Tag.CLF_INIT)
         n, m = kg.num_parts, kg.num_object_classes
         return cls(
             object_classes=kg.object_classes,
@@ -101,13 +102,7 @@ class MLPClassifier:
         return [self.w1, self.b1, self.w2, self.b2]
 
     def copy(self) -> "MLPClassifier":
-        return MLPClassifier(
-            self.object_classes,
-            self.w1.copy(),
-            self.b1.copy(),
-            self.w2.copy(),
-            self.b2.copy(),
-        )
+        return MLPClassifier(self.object_classes, *(p.copy() for p in self.parameters()))
 
 
 def _flat_views(params: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -173,7 +168,7 @@ def train_classifier(
         raise ValidationError("cannot train the classifier on an empty set")
     if descriptors.shape[0] != labels.shape[0]:
         raise ValidationError("descriptor and label counts differ")
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5D6]))
+    rng = streams.rng(seed, streams.Tag.CLF_BATCH)
     flat, views = _flat_views(clf.parameters())
     model = MLPClassifier(clf.object_classes, *views)
     grad, grads = _flat_views(clf.parameters())

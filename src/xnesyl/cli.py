@@ -36,6 +36,7 @@ from .detector import AGGREGATIONS, aggregate, detect, load_detector, save_detec
 from .errors import NumericalError, ValidationError, read_json_array, read_json_object
 from .kg import KnowledgeGraph, load_kg
 from .shapley import SHAP_MODES, BackgroundSet
+from .streams import scoring_seeds
 from .training import (
     RunArtifacts,
     TrainConfig,
@@ -43,7 +44,6 @@ from .training import (
     config_from_echo,
     evaluate,
     metrics_report,
-    shap_eval_seed,
     train_shap_backprop,
     train_standard,
 )
@@ -279,8 +279,8 @@ def _cmd_eval(args) -> int:
 def _cmd_explain(args) -> int:
     kg = load_kg(args.kg)
     saved = _load_run_dir(args.checkpoints, kg)
-    # An instance is seeded by its position in its own split; for a test
-    # instance that is the seed `evaluate` scored it with.
+    # An instance is seeded by its position in its own split (`scoring_seeds`);
+    # for a test instance that is the seed `evaluate` scored it with.
     located = locate_instance(args.data, kg, args.instance_id, saved.detector.feature_dim)
     if located is None:
         raise ValidationError(f"--instance-id {args.instance_id!r} not found in {args.data}")
@@ -290,9 +290,9 @@ def _cmd_explain(args) -> int:
     out_dir = Path(args.out_dir) if args.out_dir else Path(args.checkpoints)
     out_dir.mkdir(parents=True, exist_ok=True)
     v = aggregate(detect(saved.detector, inst), cfg.aggregation)
+    [seed] = scoring_seeds(cfg.seed, [index])
     values, sag = instance_attribution(
-        saved.classifier, v, index, kg, saved.background, cfg.s, cfg.shap_mode,
-        cfg.shap_samples, shap_eval_seed(cfg),
+        saved.classifier, v, kg, saved.background, cfg.s, cfg.shap_mode, cfg.shap_samples, seed
     )
     stem = f"sag-{inst.id}"
     (out_dir / f"{stem}.dot").write_text(sag_to_dot(sag, kg), encoding="utf-8")

@@ -27,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import streams
 from .errors import ValidationError
 from .kg import KnowledgeGraph
 
@@ -117,7 +118,7 @@ def part_means(kg: KnowledgeGraph, cfg: GeneratorConfig) -> np.ndarray:
     proposal radius grows if placement stalls so termination is
     guaranteed.
     """
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xA11]))
+    rng = streams.rng(cfg.seed, streams.Tag.PART_MEANS)
     n, d = kg.num_parts, cfg.feature_dim
     means = np.zeros((n, d))
     radius = cfg.separation
@@ -162,7 +163,7 @@ def generate_dataset(
                 f"object class {obj!r} has no typical parts; cannot generate clean regions"
             )
     means = part_means(kg, cfg)
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xD47]))
+    rng = streams.rng(cfg.seed, streams.Tag.SCENES)
     lo, hi = cfg.regions_per_instance
     instances: list[SceneInstance] = []
     for i in range(count):

@@ -129,31 +129,31 @@ def _validate(kg: KnowledgeGraph) -> None:
 
 
 def load_kg(path: str | Path) -> KnowledgeGraph:
-    """Load and validate a knowledge graph from a JSON file."""
+    """Load and validate a knowledge graph from a JSON file; every fault names the file."""
     doc = read_json_object(
         path, "knowledge graph file", None, ("object_classes", "part_classes", "typical_of")
     )
     objects = read_json_labels(path, doc, "object_classes")
     parts = read_json_labels(path, doc, "part_classes")
     edges = doc["typical_of"]
-    if not isinstance(edges, list):
-        raise ValidationError("typical_of must be a list of [part, object] pairs")
-    pairs: list[tuple[str, str]] = []
-    for entry in edges:
-        # Rejects weighted or otherwise decorated edges: binary relation only.
-        if (
-            not isinstance(entry, list)
-            or len(entry) != 2
-            or not all(isinstance(s, str) for s in entry)
-        ):
-            raise ValidationError(
-                f"typical_of entry {entry!r} is not a plain [part, object] pair"
-            )
-        pair = (entry[0], entry[1])
-        if pair in pairs:
-            raise ValidationError(f"duplicate typical-of edge {pair!r}")
-        pairs.append(pair)
-    return KnowledgeGraph(objects, parts, frozenset(pairs))
+    try:
+        if not isinstance(edges, list):
+            raise ValidationError("typical_of must be a list of [part, object] pairs")
+        pairs: list[tuple[str, str]] = []
+        for entry in edges:
+            # Rejects weighted or otherwise decorated edges: binary relation only.
+            pair_shaped = isinstance(entry, list) and len(entry) == 2
+            if not (pair_shaped and all(isinstance(s, str) for s in entry)):
+                raise ValidationError(
+                    f"typical_of entry {entry!r} is not a plain [part, object] pair"
+                )
+            pair = (entry[0], entry[1])
+            if pair in pairs:
+                raise ValidationError(f"duplicate typical-of edge {pair!r}")
+            pairs.append(pair)
+        return KnowledgeGraph(objects, parts, frozenset(pairs))
+    except ValidationError as exc:
+        raise ValidationError(f"{Path(path)}: {exc}") from exc
 
 
 def dumps_kg(kg: KnowledgeGraph) -> str:

@@ -65,6 +65,7 @@ from typing import Callable, Protocol
 
 import numpy as np
 
+from . import streams
 from .errors import NumericalError, ValidationError
 
 __all__ = [
@@ -72,6 +73,7 @@ __all__ = [
     "LayeredModel",
     "Model",
     "SHAP_MODES",
+    "check_budget",
     "exact_shap_matrix",
     "exact_shap_stack",
     "kernel_shap_matrix",
@@ -151,10 +153,22 @@ class BackgroundSet:
         descriptors = np.asarray(descriptors, dtype=np.float64)
         if descriptors.ndim != 2 or descriptors.shape[0] == 0:
             raise ValidationError("need a non-empty (N, n) descriptor array to sample from")
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 0xB6]))
+        rng = streams.rng(seed, streams.Tag.BACKGROUND_ROWS)
         count = min(size, descriptors.shape[0])
         idx = rng.choice(descriptors.shape[0], size=count, replace=False)
         return cls(descriptors[np.sort(idx)])
+
+
+def check_budget(mode: str, n: int, num_coalition_samples: int) -> None:
+    """Refuse what the `mode` estimator cannot attribute over n features (exact: no samples)."""
+    if mode == "exact" and n > EXACT_MAX_FEATURES:
+        raise ValidationError(
+            f"exact mode takes at most {EXACT_MAX_FEATURES} features, got {n}; use the kernel mode"
+        )
+    if mode == "kernel" and num_coalition_samples < 2 * n:
+        raise ValidationError(
+            f"need at least 2n = {2 * n} coalition samples, got {num_coalition_samples}"
+        )
 
 
 def _is_layered(model: Model) -> bool:
@@ -502,11 +516,7 @@ def exact_shap_stack(model: Model, x: np.ndarray, bg: BackgroundSet) -> np.ndarr
     """
     x = _check_inputs(x, bg, stacked=True)
     n = x.shape[1]
-    if n > EXACT_MAX_FEATURES:
-        raise ValidationError(
-            f"exact enumeration refuses n={n} > {EXACT_MAX_FEATURES} features; "
-            "use the kernel mode (kernel_shap_matrix) instead"
-        )
+    check_budget("exact", n, 0)
     live = (x[:, None, :] != bg.vectors).sum(axis=2)  # (N, B) live counts
     work = np.where(live > 0, 1 << live, 0).sum(axis=1)
     return _in_shares(functools.partial(_exact_rows, model, bg=bg), x, work)
@@ -690,10 +700,7 @@ def kernel_shap_stack(
     count, n = x.shape
     if len(seeds) != count:
         raise ValidationError(f"need one seed per descriptor, got {len(seeds)} for {count}")
-    if num_coalition_samples < 2 * n:
-        raise ValidationError(
-            f"need at least 2n = {2 * n} coalition samples, got {num_coalition_samples}"
-        )
+    check_budget("kernel", n, num_coalition_samples)
     v0 = np.asarray(model(bg.vectors), dtype=np.float64).mean(axis=0)
     # one row per call: a stacked product rounds differently
     v1 = np.stack([np.asarray(model(row[None, :]), dtype=np.float64)[0] for row in x])
@@ -704,11 +711,7 @@ def kernel_shap_stack(
         samples = [_enumerate_proper_masks(n)] * count
     else:
         samples = [
-            _sample_masks(
-                n,
-                num_coalition_samples,
-                np.random.default_rng(np.random.SeedSequence([seed, 0x5A])),
-            )
+            _sample_masks(n, num_coalition_samples, streams.rng(seed, streams.Tag.KERNEL_MASKS))
             for seed in seeds
         ]
     # step by step over the stack: 30 rows (n = 14, bg 16, 256 draws) take

@@ -11,9 +11,10 @@ need a trained classifier). Without a scheme the classifier and the
 background are built once, after the last epoch. Either way the
 classifier and background of the last epoch are the ones kept.
 
-Every random stream is derived from (config seed, role, epoch), so a run
-is a pure function of (kg, dataset, config), and the weighted procedure
-with all multipliers at 1 reproduces the standard procedure bit for bit.
+Every random stream is a `streams` stream of (config seed, role, epoch),
+so a run is a pure function of (kg, dataset, config), and the weighted
+procedure with all multipliers at 1 reproduces the standard procedure
+bit for bit.
 """
 
 from __future__ import annotations
@@ -23,13 +24,14 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import alignment
-from .alignment import WeightScheme, derive_seed, mean_shap_ged, region_weights
+from .alignment import WeightScheme, mean_shap_ged, region_weights
 from .classifier import MLPClassifier, accuracy, train_classifier
 from .datagen import SceneInstance
 from .detector import AGGREGATIONS, PackedSplit, PartDetector, detect_split, train_detector_epoch
 from .errors import NumericalError, ValidationError
 from .kg import KnowledgeGraph, attribution_matrix
-from .shapley import EXACT_MAX_FEATURES, SHAP_MODES, BackgroundSet, shap_matrix
+from .shapley import SHAP_MODES, BackgroundSet, check_budget, shap_matrix
+from .streams import Tag, child_seed, rng, scoring_seeds
 
 __all__ = [
     "TrainConfig",
@@ -38,23 +40,10 @@ __all__ = [
     "train_shap_backprop",
     "evaluate",
     "descriptors",
-    "shap_eval_seed",
     "config_echo",
     "config_from_echo",
     "metrics_report",
 ]
-
-# role tags for seed derivation; values are arbitrary but frozen
-_TAG_BATCH = 1
-_TAG_CLF = 2
-_TAG_BG = 3
-_TAG_SHAP_TRAIN = 4
-_TAG_SHAP_EVAL = 5
-
-
-def _derived_rng(seed: int, *parts: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed, *parts]))
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -123,16 +112,10 @@ def _train(
     for name, split in (("training", train_split), ("test", test_split)):
         if not split:
             raise ValidationError(f"{name} split is empty")
-    n = kg.num_parts
-    if (cfg.shap_mode == "kernel" or cfg.scheme is not None) and cfg.shap_samples < 2 * n:
-        raise ValidationError(
-            f"need at least 2n = {2 * n} coalition samples, got {cfg.shap_samples}"
-        )
-    if cfg.shap_mode == "exact" and n > EXACT_MAX_FEATURES:
-        raise ValidationError(
-            f"exact attributions take at most {EXACT_MAX_FEATURES} parts and the "
-            f"knowledge graph has {n}; use the kernel mode"
-        )
+    check_budget(cfg.shap_mode, kg.num_parts, cfg.shap_samples)
+    if cfg.scheme is not None:
+        # the weighting pass runs the kernel estimator whatever mode scores the run
+        check_budget("kernel", kg.num_parts, cfg.shap_samples)
     kg_matrix = attribution_matrix(kg)
     # packed once: every detector epoch and descriptor pass reads these arrays
     packed = PackedSplit.pack(train_split, kg.part_classes)
@@ -144,7 +127,7 @@ def _train(
             det,
             packed,
             weights,
-            rng=_derived_rng(cfg.seed, _TAG_BATCH, epoch),
+            rng=rng(cfg.seed, Tag.BATCH, epoch),
             learning_rate=cfg.lr_det,
         )
         params = (det.weights, det.bias)
@@ -153,20 +136,17 @@ def _train(
         alpha = {"alpha_mean": 1.0, "alpha_max": 1.0}
         if cfg.scheme is not None or epoch == cfg.epochs_det:
             x_train, y_train, predicted = descriptors(det, packed, kg, cfg.aggregation)
-            clf_seed = derive_seed(cfg.seed, _TAG_CLF, epoch)
+            clf_seed = child_seed(cfg.seed, Tag.CLASSIFIER, epoch)
             clf = train_classifier(
                 MLPClassifier.create(kg, seed=clf_seed),
                 x_train, y_train, cfg.epochs_clf, cfg.lr_clf, seed=clf_seed,
             )
             background = BackgroundSet.sample(
-                x_train, cfg.background_size, derive_seed(cfg.seed, _TAG_BG, epoch)
+                x_train, cfg.background_size, child_seed(cfg.seed, Tag.BACKGROUND, epoch)
             )
         if cfg.scheme is not None:
             # always sampled: it scores the whole training split every epoch
-            seeds = [
-                derive_seed(cfg.seed, _TAG_SHAP_TRAIN, epoch, index)
-                for index in range(len(packed))
-            ]
+            seeds = [child_seed(cfg.seed, Tag.SHAP_TRAIN, epoch, i) for i in range(len(packed))]
             shap_values = shap_matrix(
                 clf, x_train, background, "kernel", cfg.shap_samples, seed=seeds
             )
@@ -226,11 +206,6 @@ def part_macro_accuracy(predicted: np.ndarray, split: PackedSplit, kg: Knowledge
     return float(np.mean(correct[supported] / totals[supported]))
 
 
-def shap_eval_seed(cfg: TrainConfig) -> int:
-    """Base seed of test-split attributions; see `alignment.instance_attribution`."""
-    return derive_seed(cfg.seed, _TAG_SHAP_EVAL)
-
-
 def evaluate(
     artifacts: RunArtifacts, test_split: list[SceneInstance], kg: KnowledgeGraph
 ) -> RunArtifacts:
@@ -242,7 +217,8 @@ def evaluate(
     x_test, y_test, predicted = descriptors(artifacts.detector, split, kg, cfg.aggregation)
     ged_mean, ged_per_instance = mean_shap_ged(
         artifacts.classifier, x_test, [inst.id for inst in test_split], kg,
-        artifacts.background, cfg.s, cfg.shap_mode, cfg.shap_samples, shap_eval_seed(cfg),
+        artifacts.background, cfg.s, cfg.shap_mode, cfg.shap_samples,
+        scoring_seeds(cfg.seed, range(len(test_split))),
     )
     metrics = {
         "part_macro_accuracy": part_macro_accuracy(predicted, split, kg),

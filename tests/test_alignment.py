@@ -22,6 +22,7 @@ from xnesyl.alignment import (
 )
 from xnesyl.errors import ValidationError
 from xnesyl.kg import project
+from xnesyl.streams import scoring_seeds
 
 
 class TestBuildSag:
@@ -280,7 +281,7 @@ class TestMeanShapGed:
         clf.w2[:] = 0.0
         bg = BackgroundSet(np.ones((4, kg.num_parts)))
         mean, per_instance = mean_shap_ged(
-            clf, x, ids, kg, bg, DETECTION_THRESHOLD, "exact", 64, 0
+            clf, x, ids, kg, bg, DETECTION_THRESHOLD, "exact", 64, scoring_seeds(0, range(12))
         )
         assert mean == 0.0
         assert set(per_instance.values()) == {0}
@@ -288,7 +289,7 @@ class TestMeanShapGed:
     @pytest.mark.parametrize("mode", ["exact", "kernel"])
     def test_one_stack_call_agrees_with_explain(self, monumai, monkeypatch, mode):
         # scoring passes the split as one stack; explain scores one instance
-        # at its index, and must reproduce the distance scoring recorded
+        # with its index's seed, and must reproduce the distance scoring recorded
         from xnesyl import alignment
         from xnesyl.classifier import MLPClassifier
         from xnesyl.datagen import GeneratorConfig, generate_dataset
@@ -310,14 +311,16 @@ class TestMeanShapGed:
             return shap_matrix(model, descriptors, *args, **kwargs)
 
         monkeypatch.setattr(alignment, "shap_matrix", counted)
+        seeds = scoring_seeds(11, range(len(ids)))
         mean, per_instance = alignment.mean_shap_ged(
-            clf, x, ids, kg, bg, DETECTION_THRESHOLD, mode, 64, 11
+            clf, x, ids, kg, bg, DETECTION_THRESHOLD, mode, 64, seeds
         )
         assert calls == [x.shape]
         assert any(per_instance.values())
         for index, (inst_id, v) in enumerate(zip(ids, x)):
+            [seed] = scoring_seeds(11, [index])
             _, sag = alignment.instance_attribution(
-                clf, v, index, kg, bg, DETECTION_THRESHOLD, mode, 64, 11
+                clf, v, kg, bg, DETECTION_THRESHOLD, mode, 64, seed
             )
             assert per_instance[inst_id] == shap_ged(sag, kg)
         assert mean == np.mean(list(per_instance.values()))
@@ -337,7 +340,7 @@ class TestMeanShapGed:
                 DETECTION_THRESHOLD,
                 "kernel",
                 512,
-                0,
+                [],
             )
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from xnesyl import streams
 from xnesyl.classifier import (
     BATCH_SIZE,
     MOMENTUM,
@@ -47,7 +48,7 @@ def reference_loss_and_grad(clf, x, labels):
 
 def reference_train(clf, x, labels, epochs, learning_rate, seed):
     """Momentum SGD stepping each parameter array on its own."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5D6]))
+    rng = streams.rng(seed, streams.Tag.CLF_BATCH)
     model = clf.copy()
     velocity = [np.zeros_like(p) for p in model.parameters()]
     for _ in range(epochs):

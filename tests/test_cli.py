@@ -81,7 +81,7 @@ class TestGen:
         capsys.readouterr()
         code = main(["gen", "--kg", str(kg), "--out", str(tmp_path / "x.jsonl"), "--count", "5"])
         assert code == 3
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {kg}: {message}\n"
 
     @pytest.mark.parametrize(
         "text, message",
@@ -92,8 +92,22 @@ class TestGen:
              "knowledge graph file lacks typical_of\n"),
             ('{"object_classes": ["A", 1], "part_classes": ["a"], "typical_of": []}',
              "object_classes is not a list of strings\n"),
+            ('{"object_classes": [], "part_classes": ["a"], "typical_of": []}',
+             "need at least 2 object classes, got 0\n"),
+            ('{"object_classes": ["A", "A"], "part_classes": ["a"], "typical_of": []}',
+             "duplicate label 'A'\n"),
+            ('{"object_classes": ["A", "B"], "part_classes": ["p"], "typical_of": {}}',
+             "typical_of must be a list of [part, object] pairs\n"),
+            ('{"object_classes": ["A", "B"], "part_classes": ["p"], "typical_of": [["q", "A"]]}',
+             "typical-of edge names undeclared part 'q'\n"),
+            ('{"object_classes": ["A", "B"], "part_classes": ["p"],'
+             ' "typical_of": [["p", "A"], ["p", "A"]]}',
+             "duplicate typical-of edge ('p', 'A')\n"),
         ],
-        ids=["not-json", "list", "no-typical-of", "int-label"],
+        ids=[
+            "not-json", "list", "no-typical-of", "int-label", "one-class", "duplicate-label",
+            "edges-not-list", "undeclared-part", "duplicate-edge",
+        ],
     )
     def test_kg_file_fault_names_the_file(self, tmp_path, capsys, text, message):
         kg = tmp_path / "kg.json"
@@ -399,9 +413,9 @@ class TestExplain:
         from xnesyl.alignment import build_sag
         from xnesyl.classifier import load_classifier
         from xnesyl.detector import aggregate, detect, load_detector
-        from xnesyl.alignment import _TAG_INSTANCE, derive_seed
         from xnesyl.shapley import BackgroundSet, shap_matrix
-        from xnesyl.training import config_from_echo, shap_eval_seed
+        from xnesyl.streams import scoring_seeds
+        from xnesyl.training import config_from_echo
 
         kg = monumai_kg()
         dataset = read_dataset(run_dir["data"], kg)
@@ -429,7 +443,7 @@ class TestExplain:
         )
         values = shap_matrix(
             clf.predict_proba, v, background, cfg.shap_mode, cfg.shap_samples,
-            seed=derive_seed(shap_eval_seed(cfg), _TAG_INSTANCE, index),
+            seed=scoring_seeds(cfg.seed, [index])[0],
         )
         expected = build_sag(kg, v, values, cfg.s)
         assert parsed == expected.edges
@@ -487,7 +501,8 @@ class TestExplain:
         from xnesyl.detector import aggregate, detect, load_detector
         from xnesyl.classifier import load_classifier
         from xnesyl.shapley import BackgroundSet
-        from xnesyl.training import config_from_echo, shap_eval_seed
+        from xnesyl.streams import scoring_seeds
+        from xnesyl.training import config_from_echo
 
         kg = monumai_kg()
         ckpt = run_dir["root"] / "ckpt"
@@ -506,8 +521,8 @@ class TestExplain:
         )
         v = aggregate(detect(load_detector(ckpt / "detector.json"), inst), cfg.aggregation)
         values, _ = instance_attribution(
-            load_classifier(ckpt / "classifier.json"), v, index, kg, background, cfg.s,
-            cfg.shap_mode, cfg.shap_samples, shap_eval_seed(cfg),
+            load_classifier(ckpt / "classifier.json"), v, kg, background, cfg.s,
+            cfg.shap_mode, cfg.shap_samples, scoring_seeds(cfg.seed, [index])[0],
         )
         return kg, rows, v, values
 

@@ -1,5 +1,6 @@
 """Knowledge graph loading, validation, matrix view, projection, baseline."""
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -57,12 +58,18 @@ class TestLoad:
             load_text(tmp_path, doc)
 
     def test_empty_class_list_rejected(self, tmp_path):
+        # a loaded file's fault names the file; a graph built directly has none to name
+        where = re.escape(f"{tmp_path / 'kg.json'}: ")
         doc = '{"object_classes": [], "part_classes": ["arch"], "typical_of": []}'
-        with pytest.raises(ValidationError, match="^need at least 2 object classes, got 0$"):
+        with pytest.raises(ValidationError, match=f"^{where}need at least 2 object classes, got 0$"):
             load_text(tmp_path, doc)
         doc = '{"object_classes": ["Gothic", "Baroque"], "part_classes": [], "typical_of": []}'
-        with pytest.raises(ValidationError, match="^need at least 1 part class, got 0$"):
+        with pytest.raises(ValidationError, match=f"^{where}need at least 1 part class, got 0$"):
             load_text(tmp_path, doc)
+        with pytest.raises(ValidationError, match="^need at least 2 object classes, got 0$"):
+            KnowledgeGraph((), ("arch",), frozenset())
+        with pytest.raises(ValidationError, match="^need at least 1 part class, got 0$"):
+            KnowledgeGraph(("Gothic", "Baroque"), (), frozenset())
 
     def test_weighted_edge_rejected(self, tmp_path):
         doc = """{"object_classes": ["Gothic", "Baroque"], "part_classes": ["arch"],

@@ -152,7 +152,8 @@ class TestExact:
     def test_refuses_large_n(self):
         model = lambda x: np.asarray(x).sum(axis=1, keepdims=True)
         bg = BackgroundSet(np.zeros((2, 17)))
-        with pytest.raises(ValidationError, match="kernel_shap_matrix"):
+        refusal = "at most 16 features, got 17; use the kernel mode"
+        with pytest.raises(ValidationError, match=refusal):
             exact_shap_matrix(model, np.ones(17), bg)
 
     def test_bounded_for_probability_models(self):
@@ -693,7 +694,7 @@ class TestExactStack:
 
     def test_too_many_features_rejected(self):
         clf, x, bg, _ = e2_shaped_case(rows=2, n=17)
-        with pytest.raises(ValidationError, match="n=17 > 16"):
+        with pytest.raises(ValidationError, match="at most 16 features, got 17"):
             exact_shap_stack(clf, x, bg)
 
     @pytest.mark.parametrize("case", ["e1", "e1-bg100", "e2"])
@@ -923,10 +924,12 @@ class TestProcessSplit:
 
     def test_mean_shap_ged_per_instance(self, monumai, forks, monkeypatch):
         from xnesyl.alignment import DETECTION_THRESHOLD, mean_shap_ged
+        from xnesyl.streams import scoring_seeds
 
         clf, x, bg, _ = e2_shaped_case(rows=4, seed=3)
         ids = [f"i{k}" for k in range(4)]
-        args = (clf, x, ids, monumai, bg, DETECTION_THRESHOLD, "exact", 64, 0)
+        seeds = scoring_seeds(0, range(4))
+        args = (clf, x, ids, monumai, bg, DETECTION_THRESHOLD, "exact", 64, seeds)
         forked = mean_shap_ged(*args)
         assert len(forks) == 1
         monkeypatch.setattr(shapley_module, "_FORK_ROWS", 1 << 62)

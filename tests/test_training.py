@@ -268,7 +268,7 @@ class TestRefusedBeforeTraining:
         kg = KnowledgeGraph(("X", "Y"), parts, frozenset(typical))
         splits = split_dataset(generate_dataset(kg, GeneratorConfig(seed=17), 30))
         cfg = TrainConfig(seed=5, **{**FAST, "shap_mode": "exact"})
-        with pytest.raises(ValidationError, match="at most 16 parts and the knowledge graph has 17"):
+        with pytest.raises(ValidationError, match="exact mode takes at most 16 features, got 17"):
             train_standard(kg, splits, cfg)
         assert len(detect_calls) == 0
 
